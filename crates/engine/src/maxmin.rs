@@ -8,38 +8,36 @@
 //! The solver is allocation-free on the hot path: callers that solve
 //! repeatedly (every [`FluidSim`](crate::FluidSim) completion round) keep a
 //! [`MaxMinScratch`] alive and hand paths over in CSR form, so each solve
-//! reuses the channel-membership arrays and the live-channel list instead of
+//! reuses the channel-membership arrays and the heap buffer instead of
 //! rebuilding a `Vec<Vec<u32>>` per round.
 //!
-//! # Finding the bottleneck: one argmin, two engines
+//! # Finding the bottleneck: a lazy-deletion min-heap
 //!
 //! Each filling round must locate the channel with the smallest fair share
 //! `remaining_capacity / unfixed_traversals`. The bottleneck is defined as
 //! the argmin of `(share, channel)` — `share` ordered by `total_cmp`, ties
 //! broken by the smaller channel id. That key is a total order with no
-//! duplicates, so the minimum is unique, and two interchangeable engines
-//! compute it:
+//! duplicates, so the minimum is unique.
 //!
-//! * **Parallel scan** (wide rounds): the live-channel list is compacted
-//!   and chunk-scanned across the rayon pool; chunk minima are folded in
-//!   chunk order, so the reduction yields the *same bits* as a serial scan,
-//!   for any chunk size and any thread count. Used while at least
-//!   `PAR_THRESHOLD` channels are live, for up to `SCAN_ROUND_BUDGET`
-//!   rounds per solve.
-//! * **Lazy-deletion min-heap** (everything else): channels are keyed by a
-//!   possibly stale share. Shares are monotone non-decreasing as flows fix
-//!   (fixing at the round minimum `m` turns a share `(cap, n)` into
-//!   `((cap - k·m) / (n - k)) ≥ cap / n` because `cap / n ≥ m`), so every
-//!   heap key is a lower bound on its channel's fresh share: a popped entry
-//!   whose key still *equals* the fresh share is the exact global argmin,
-//!   and a stale one is re-pushed under the fresh key. Per round this costs
-//!   `O(log)` instead of a full scan, which keeps narrow many-round solves
-//!   (each round fixing a handful of flows) from going quadratic.
+//! One min-heap computes it. Each solve seeds it once, with an `O(n)`
+//! heapify, holding every channel that carries an unfixed flow under its
+//! fresh share; from then on keys may go stale. Shares are monotone
+//! non-decreasing as flows fix (fixing at the round minimum `m` turns a
+//! share `(cap, n)` into `((cap - k·m) / (n - k)) ≥ cap / n` because
+//! `cap / n ≥ m`), so every heap key is a lower bound on its channel's
+//! fresh share: a popped entry whose key still *equals* the fresh share is
+//! the exact global argmin, a stale one is re-pushed under the fresh key,
+//! and one whose flows all fixed en passant is dropped. A round costs
+//! `O(log)` heap work instead of a scan over the live channels, so wide
+//! solves pay for the bottlenecks they fix rather than for the fabric, and
+//! narrow many-round solves (each round fixing a handful of flows) do not go
+//! quadratic.
 //!
-//! Because both engines compute the identical unique argmin, any mix of
-//! phases — and any thread count — produces bit-identical rates.
+//! Every channel has at most one entry and the keys are unique, so the pop
+//! order does not depend on the heap's internal layout: rates are
+//! bit-identical to a serial full scan for the argmin, the reference model
+//! in `tests/maxmin_reference.rs`.
 
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -48,28 +46,13 @@ use std::collections::BinaryHeap;
 /// Compact on purpose: a million-node torus carries several million directed
 /// channels, and the solver's membership arrays, the routers' path buffers
 /// and the fabric adjacency all store these ids densely — `u32` halves their
-/// footprint against `usize` and keeps the per-round bottleneck scan inside
+/// footprint against `usize` and keeps the solver's per-channel passes inside
 /// the cache. Fabric constructors reject channel counts beyond `u32::MAX`
 /// with a typed error ([`EngineError::IdSpaceExceeded`]), so the narrowing
 /// is checked once at construction, never on the hot path.
 ///
 /// [`EngineError::IdSpaceExceeded`]: crate::EngineError::IdSpaceExceeded
 pub type ChannelId = u32;
-
-/// Live-channel count above which a round uses the parallel scan engine.
-/// Below it the heap engine's `O(log)` rounds beat a fork/join.
-const PAR_THRESHOLD: usize = 4096;
-
-/// Channels per chunk of the parallel bottleneck scan. Chunk minima are
-/// folded in chunk order, which (with the duplicate-free total order on
-/// `(share, channel)`) makes the reduction bit-identical to a serial scan.
-const PAR_CHUNK: usize = 2048;
-
-/// Upper bound on scan-engine rounds per solve. Wide solves that retire
-/// most flows in a few rounds get the parallel scans; solves that turn out
-/// to need many rounds (each fixing a handful of flows) fall through to
-/// the heap engine before the per-round full scans can go quadratic.
-const SCAN_ROUND_BUDGET: usize = 64;
 
 /// `f64` ordered by `total_cmp` so it can live in an ordered key.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,8 +70,8 @@ impl Ord for Share {
 }
 
 /// Reusable buffers for [`max_min_rates_csr`]. One instance amortizes every
-/// per-solve allocation (membership CSR, remaining capacities, the live
-/// channel list, the heap arena) across an entire simulation.
+/// per-solve allocation (membership CSR, remaining capacities, the heap
+/// arena) across an entire simulation.
 #[derive(Debug, Clone, Default)]
 pub struct MaxMinScratch {
     remaining_cap: Vec<f64>,
@@ -98,11 +81,8 @@ pub struct MaxMinScratch {
     /// solve, so members pack twice as densely as a usize arena would).
     members: Vec<u32>,
     cursor: Vec<usize>,
-    /// Channels still carrying unfixed flows, ascending; compacted in place
-    /// each round of the scan engine.
-    live: Vec<ChannelId>,
-    /// Lazy-deletion heap for the narrow-round engine: entries key channels
-    /// by a (possibly stale) lower bound of their fair share.
+    /// Lazy-deletion heap: entries key channels by a (possibly stale) lower
+    /// bound of their fair share.
     heap: BinaryHeap<Reverse<(Share, ChannelId)>>,
     fixed: Vec<bool>,
 }
@@ -112,42 +92,6 @@ impl MaxMinScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// The unique argmin of `(share, channel)` over the live channels, where
-/// `share(c) = remaining_cap[c] / unfixed[c]`. Serial below
-/// [`PAR_THRESHOLD`]; above it, chunked with the chunk minima folded in
-/// order — bit-identical to the serial scan for any thread count (see the
-/// module docs).
-fn bottleneck_channel(
-    live: &[ChannelId],
-    remaining_cap: &[f64],
-    unfixed: &[u32],
-) -> Option<(f64, ChannelId)> {
-    let key = |c: ChannelId| {
-        (
-            Share(remaining_cap[c as usize] / unfixed[c as usize] as f64),
-            c,
-        )
-    };
-    let best = if live.len() < PAR_THRESHOLD {
-        live.iter().map(|&c| key(c)).min()
-    } else {
-        live.chunks(PAR_CHUNK)
-            .into_par_iter()
-            .with_min_len(1)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|&c| key(c))
-                    .min()
-                    .expect("non-empty chunk")
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .min()
-    };
-    best.map(|(Share(share), c)| (share, c))
 }
 
 /// Fix every still-unfixed flow crossing bottleneck channel `c` at rate
@@ -191,12 +135,10 @@ fn fix_channel_flows(
 /// Paths are given in CSR form: flow `i` traverses
 /// `path_data[path_offsets[i]..path_offsets[i + 1]]`.
 ///
-/// Each round's bottleneck is the unique `(share, channel)` minimum,
-/// computed by the parallel scan engine while at least `PAR_THRESHOLD`
-/// channels are live (budgeted to `SCAN_ROUND_BUDGET` rounds) and by an
-/// exact lazy-deletion heap afterwards. Both engines realize the same
-/// argmin, so rates are bit-identical regardless of the switch-over point
-/// or the thread count (see the module docs).
+/// Each round's bottleneck is the unique `(share, channel)` minimum, popped
+/// from a lazy-deletion heap seeded once per solve. Heap keys are lower
+/// bounds on the fresh shares, so the popped argmin is exact and rates are
+/// bit-identical to a serial full scan (see the module docs).
 ///
 /// # Panics
 /// Panics if the flow count exceeds `u32::MAX` (the membership arena stores
@@ -219,7 +161,6 @@ pub fn max_min_rates_csr(
         member_offsets,
         members,
         cursor,
-        live,
         heap,
         fixed,
     } = scratch;
@@ -259,27 +200,44 @@ pub fn max_min_rates_csr(
         }
     }
 
-    live.clear();
-    live.extend((0..n_channels as ChannelId).filter(|&c| unfixed_count[c as usize] > 0));
+    // Seed the heap with the fresh share of every channel carrying an
+    // unfixed flow: one O(n) heapify over the reused buffer.
+    let mut seed = std::mem::take(heap).into_vec();
+    seed.clear();
+    seed.extend(
+        unfixed_count
+            .iter()
+            .zip(remaining_cap.iter())
+            .enumerate()
+            .filter(|(_, (&n, _))| n > 0)
+            .map(|(c, (&n, &cap))| Reverse((Share(cap / n as f64), c as ChannelId))),
+    );
+    *heap = BinaryHeap::from(seed);
 
+    // Keys are lower bounds (shares only grow as flows fix; see the module
+    // docs), so a popped entry whose key equals the fresh share is the
+    // exact global argmin; otherwise it re-enters under its fresh key.
     let mut fixed_count = 0usize;
-
-    // Phase 1 — scan engine: while the round is wide enough to amortize a
-    // fork/join (and the budget lasts), compact the live list and take the
-    // argmin with the order-preserving parallel reduction.
-    let mut scan_rounds = 0usize;
     while fixed_count < active.len() {
-        // Channels fully fixed since the last round drop out here; the
-        // retain preserves ascending order, keeping the channel tie-break
-        // stable across rounds.
-        live.retain(|&c| unfixed_count[c as usize] > 0);
-        if live.len() < PAR_THRESHOLD || scan_rounds >= SCAN_ROUND_BUDGET {
-            break;
-        }
-        scan_rounds += 1;
-        let Some((current, c)) = bottleneck_channel(live, remaining_cap, unfixed_count) else {
+        let Some(Reverse((stale, c))) = heap.pop() else {
+            // No constrained channel left; remaining flows are unbounded in
+            // this model (cannot happen for non-empty paths).
+            for &i in active {
+                if !fixed[i] {
+                    rate[i] = f64::MAX;
+                }
+            }
             break;
         };
+        if unfixed_count[c as usize] == 0 {
+            // Lazily deleted: every flow on `c` fixed en passant.
+            continue;
+        }
+        let current = remaining_cap[c as usize] / unfixed_count[c as usize] as f64;
+        if Share(current) != stale {
+            heap.push(Reverse((Share(current), c)));
+            continue;
+        }
         fixed_count += fix_channel_flows(
             c,
             current,
@@ -292,55 +250,6 @@ pub fn max_min_rates_csr(
             remaining_cap,
             unfixed_count,
         );
-    }
-
-    // Phase 2 — heap engine: seed the lazy-deletion min-heap with the fresh
-    // shares of the channels still live. Keys are lower bounds (shares only
-    // grow as flows fix; see the module docs), so a popped entry whose key
-    // equals the fresh share is the exact global argmin; otherwise the
-    // entry is stale and re-enters under its fresh key.
-    if fixed_count < active.len() {
-        heap.clear();
-        for &c in live.iter() {
-            if unfixed_count[c as usize] > 0 {
-                let share = remaining_cap[c as usize] / unfixed_count[c as usize] as f64;
-                heap.push(Reverse((Share(share), c)));
-            }
-        }
-        while fixed_count < active.len() {
-            let Some(Reverse((stale, c))) = heap.pop() else {
-                // No constrained channel left; remaining flows are
-                // unbounded in this model (cannot happen for non-empty
-                // paths).
-                for &i in active {
-                    if !fixed[i] {
-                        rate[i] = f64::MAX;
-                    }
-                }
-                break;
-            };
-            if unfixed_count[c as usize] == 0 {
-                // Lazily deleted: every flow on `c` fixed en passant.
-                continue;
-            }
-            let current = remaining_cap[c as usize] / unfixed_count[c as usize] as f64;
-            if Share(current) != stale {
-                heap.push(Reverse((Share(current), c)));
-                continue;
-            }
-            fixed_count += fix_channel_flows(
-                c,
-                current,
-                member_offsets,
-                members,
-                path_offsets,
-                path_data,
-                fixed,
-                rate,
-                remaining_cap,
-                unfixed_count,
-            );
-        }
     }
 }
 
@@ -484,12 +393,12 @@ mod tests {
     }
 
     #[test]
-    fn wide_solves_cross_the_parallel_threshold_and_stay_exact() {
-        // 2 * PAR_THRESHOLD channels guarantee the chunked reduction runs.
-        // Disjoint flow pairs over exact-dividing capacities make the
-        // expected rates exact, so this doubles as an order-preservation
-        // check: any wrong argmin would mis-order the subtraction chain.
-        let n = 2 * PAR_THRESHOLD;
+    fn wide_disjoint_solves_stay_exact() {
+        // 8,192 channels, all live when the solve starts. Disjoint flow
+        // pairs over exact-dividing capacities make the expected rates
+        // exact, so this doubles as an order-preservation check: any wrong
+        // argmin would mis-order the subtraction chain.
+        let n = 8192;
         let mut offsets = vec![0usize];
         let mut data: Vec<ChannelId> = Vec::new();
         let mut caps = vec![0.0f64; n];

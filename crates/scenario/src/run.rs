@@ -6,8 +6,8 @@ use crate::spec::{
     MAX_FLOWS, MAX_JOBS,
 };
 use netpart_engine::{
-    route_flows, simulate_cluster_observed, Allocator, CompactAllocator, EngineError, Fabric, Flow,
-    FluidSim, Router, ScatterAllocator, SolverMode, Telemetry, TelemetryEvent,
+    route_flows_csr, simulate_cluster_observed, Allocator, CompactAllocator, EngineError, Fabric,
+    Flow, FluidSim, Router, ScatterAllocator, SolverMode, Telemetry, TelemetryEvent,
 };
 use netpart_machines::{known, BlueGeneQ};
 use netpart_sched::{generate_trace, SchedPolicy, TraceConfig};
@@ -224,20 +224,15 @@ fn run_flow_pattern(
         return Err(invalid("flow volumes must be finite and non-negative"));
     }
     let route_span = telemetry.span("route");
-    let paths = route_flows(fabric, router, &flows)?;
+    let mut offsets = Vec::with_capacity(flows.len() + 1);
+    let mut data = Vec::new();
+    route_flows_csr(fabric, router, &flows, &mut offsets, &mut data)?;
     drop(route_span);
     let sizes: Vec<f64> = flows.iter().map(|f| f.gigabytes).collect();
     // Build through `empty` + `reset_csr` rather than `FluidSim::new` so the
     // telemetry handle is attached before the CSR build and the `csr_build`
     // span fires; the two paths are bit-identical (pinned by the engine's
     // `reused_simulation_matches_fresh_construction_bit_for_bit`).
-    let mut offsets = Vec::with_capacity(paths.len() + 1);
-    offsets.push(0);
-    let mut data = Vec::with_capacity(paths.iter().map(Vec::len).sum());
-    for path in &paths {
-        data.extend_from_slice(path);
-        offsets.push(data.len());
-    }
     let mut fluid = FluidSim::empty();
     fluid.set_telemetry(telemetry.clone());
     fluid.reset_csr(&offsets, &data, fabric.capacities(), &sizes);
