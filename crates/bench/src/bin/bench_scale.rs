@@ -14,9 +14,8 @@
 //!   binary-heap reference core at every scale.
 //! * **Fabric incast solve** — a torus at that node count, a strided incast
 //!   flow set routed dimension-ordered, and one batch `max_min_rates_csr`
-//!   solve over the resulting CSR (the solver's parallel bottleneck scan
-//!   engages above its size threshold). Peak RSS (`VmHWM`) is recorded
-//!   after each solve.
+//!   solve over the resulting CSR. Peak RSS (`VmHWM`) is recorded after
+//!   each solve.
 //!
 //! A full run (no `--nodes` filter) writes `results/bench_scale.json`
 //! (kept unless `--force`, like every committed baseline).

@@ -94,39 +94,6 @@ impl MaxMinScratch {
     }
 }
 
-/// Fix every still-unfixed flow crossing bottleneck channel `c` at rate
-/// `current` and retire its demand from every channel it traverses.
-/// Returns the number of flows newly fixed.
-#[allow(clippy::too_many_arguments)]
-fn fix_channel_flows(
-    c: ChannelId,
-    current: f64,
-    member_offsets: &[usize],
-    members: &[u32],
-    path_offsets: &[usize],
-    path_data: &[ChannelId],
-    fixed: &mut [bool],
-    rate: &mut [f64],
-    remaining_cap: &mut [f64],
-    unfixed_count: &mut [u32],
-) -> usize {
-    let mut newly_fixed = 0usize;
-    for &i in &members[member_offsets[c as usize]..member_offsets[c as usize + 1]] {
-        let i = i as usize;
-        if fixed[i] {
-            continue;
-        }
-        fixed[i] = true;
-        newly_fixed += 1;
-        rate[i] = current;
-        for &d in &path_data[path_offsets[i]..path_offsets[i + 1]] {
-            remaining_cap[d as usize] = (remaining_cap[d as usize] - current).max(0.0);
-            unfixed_count[d as usize] -= 1;
-        }
-    }
-    newly_fixed
-}
-
 /// Max–min fair rates (GB/s) for the active flows, indexed by flow id
 /// (entries for inactive flows are 0). Progressive filling: repeatedly find
 /// the channel with the smallest fair share, fix its unfixed flows at that
@@ -238,18 +205,21 @@ pub fn max_min_rates_csr(
             heap.push(Reverse((Share(current), c)));
             continue;
         }
-        fixed_count += fix_channel_flows(
-            c,
-            current,
-            member_offsets,
-            members,
-            path_offsets,
-            path_data,
-            fixed,
-            rate,
-            remaining_cap,
-            unfixed_count,
-        );
+        // `c` is the bottleneck: fix its still-unfixed flows at `current`
+        // and retire their demand from every channel they traverse.
+        for &i in &members[member_offsets[c as usize]..member_offsets[c as usize + 1]] {
+            let i = i as usize;
+            if fixed[i] {
+                continue;
+            }
+            fixed[i] = true;
+            fixed_count += 1;
+            rate[i] = current;
+            for &d in path(i) {
+                remaining_cap[d as usize] = (remaining_cap[d as usize] - current).max(0.0);
+                unfixed_count[d as usize] -= 1;
+            }
+        }
     }
 }
 
