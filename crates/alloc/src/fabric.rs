@@ -16,10 +16,9 @@
 
 use netpart_contention::internal_bisection_gbs;
 use netpart_engine::Fabric;
-use serde::{Deserialize, Serialize};
 
 /// One ranked candidate allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedAllocation {
     /// Index into the caller's candidate list.
     pub index: usize,

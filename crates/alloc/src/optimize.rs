@@ -8,10 +8,9 @@
 //! bisection value so the code remains correct for any future machine shape.
 
 use netpart_machines::{BlueGeneQ, PartitionGeometry};
-use serde::{Deserialize, Serialize};
 
 /// The best- and worst-bisection geometries of a given size on a machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GeometryExtremes {
     /// Requested partition size in midplanes.
     pub midplanes: usize,

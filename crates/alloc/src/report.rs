@@ -14,10 +14,9 @@
 
 use crate::optimize::{best_geometry, extremes};
 use netpart_machines::{AllocationSystem, BlueGeneQ, PartitionGeometry};
-use serde::{Deserialize, Serialize};
 
 /// One row of a current/worst vs proposed/best comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComparisonRow {
     /// Partition size in compute nodes (512 per midplane).
     pub nodes: usize,
@@ -89,7 +88,7 @@ pub fn worst_vs_best(machine: &BlueGeneQ) -> Vec<ComparisonRow> {
 }
 
 /// One row of the multi-machine best-partition table (Table 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineDesignRow {
     /// Partition size in midplanes.
     pub midplanes: usize,

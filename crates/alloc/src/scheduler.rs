@@ -9,10 +9,9 @@
 
 use crate::optimize::best_geometry;
 use netpart_machines::{BlueGeneQ, PartitionGeometry};
-use serde::{Deserialize, Serialize};
 
 /// How sensitive a job is to network contention.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ContentionHint {
     /// Run time is dominated by bisection traffic (e.g. all-to-all, FFT,
     /// fast matrix multiplication at scale): slowdown scales with the full
@@ -37,7 +36,7 @@ impl ContentionHint {
 }
 
 /// A job waiting to be scheduled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
     /// Requested size in midplanes.
     pub midplanes: usize,
@@ -48,7 +47,7 @@ pub struct JobRequest {
 }
 
 /// The advisor's recommendation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Advice {
     /// Take the offered partition now.
     AllocateNow {

@@ -7,10 +7,9 @@
 
 use crate::optimize::{best_geometry, worst_geometry};
 use netpart_machines::{AllocationSystem, BlueGeneQ};
-use serde::{Deserialize, Serialize};
 
 /// A named series of `(midplanes, bisection links)` points.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Series {
     /// Label used in figure legends.
     pub label: String,

@@ -4,24 +4,31 @@
 //! additionally captures path diversity. This bench measures their cost gap.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use netpart_netsim::{traffic, FlowSim, TorusNetwork};
+use netpart_engine::{pairing_flows, simulate_flows, static_estimate, DimensionOrdered, Fabric};
+use netpart_topology::Torus;
 
 fn bench_models(c: &mut Criterion) {
     let mut group = c.benchmark_group("contention_model");
     group.sample_size(10);
-    let network = TorusNetwork::bgq_partition(&[16, 4, 4, 4, 2]);
-    let flows = traffic::pairwise_exchange_flows(&traffic::bisection_pairs(&network), 2.0);
-    let sim = FlowSim::default();
+    let fabric = Fabric::from_torus(Torus::new(vec![16, 4, 4, 4, 2]), 2.0);
+    let flows = pairing_flows(&fabric, 2.0);
+    let router = DimensionOrdered::default();
     group.bench_with_input(BenchmarkId::from_parameter("maxmin_fluid"), &(), |b, ()| {
         b.iter(|| {
-            sim.simulate(black_box(&network), black_box(&flows))
+            simulate_flows(black_box(&fabric), &router, black_box(&flows))
+                .expect("torus fabrics route everything")
                 .makespan
         })
     });
     group.bench_with_input(
         BenchmarkId::from_parameter("static_bottleneck"),
         &(),
-        |b, ()| b.iter(|| sim.static_estimate(black_box(&network), black_box(&flows))),
+        |b, ()| {
+            b.iter(|| {
+                static_estimate(black_box(&fabric), &router, black_box(&flows))
+                    .expect("torus fabrics route everything")
+            })
+        },
     );
     group.finish();
 }

@@ -1,28 +1,24 @@
 //! Ablation: rank-to-node mapping strategy for the CAPS exchange pattern.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use netpart_mpi::{collectives, MappingStrategy, RankMapping};
-use netpart_netsim::flow::aggregate_flows;
-use netpart_netsim::{FlowSim, TorusNetwork};
+use netpart_engine::Fabric;
+use netpart_mpi::{aggregate_flows, collectives, phase_seconds, MappingStrategy, RankMapping};
+use netpart_topology::Torus;
 
 fn bench_mappings(c: &mut Criterion) {
     let mut group = c.benchmark_group("caps_exchange_by_mapping");
     group.sample_size(10);
-    let network = TorusNetwork::bgq_partition(&[16, 4, 4, 4, 2]);
+    let fabric = Fabric::from_torus(Torus::new(vec![16, 4, 4, 4, 2]), 2.0);
     for (label, strategy) in [
         ("balanced", MappingStrategy::Balanced),
         ("round_robin", MappingStrategy::RoundRobin),
         ("random", MappingStrategy::Random(7)),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &strategy, |b, &s| {
-            let mapping = RankMapping::new(2401, network.num_nodes(), 2, s);
+            let mapping = RankMapping::new(2401, fabric.num_nodes(), 2, s);
             let phases = collectives::group_counterpart_exchange(&mapping, 7, 0.01);
             let flows = aggregate_flows(&phases[0]);
-            let sim = FlowSim::default();
-            b.iter(|| {
-                sim.simulate(black_box(&network), black_box(&flows))
-                    .makespan
-            })
+            b.iter(|| phase_seconds(black_box(&fabric), black_box(&flows)))
         });
     }
     group.finish();

@@ -1,29 +1,31 @@
 //! Ablation: how the routing tie-break affects the bisection-pairing time.
 //!
-//! DESIGN.md calls out the tie-breaking rule for antipodal traffic as a
-//! modelling choice; this bench quantifies it (the geometry effect the paper
-//! reports survives every rule).
+//! The tie-breaking rule for antipodal traffic (`netpart_engine::TieBreak`)
+//! is a modelling choice; this bench quantifies it (the geometry effect the
+//! paper reports survives every rule).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use netpart_netsim::{traffic, DimensionOrdered, FlowSim, TieBreak, TorusNetwork};
+use netpart_engine::{pairing_flows, simulate_flows, DimensionOrdered, Fabric, TieBreak};
+use netpart_topology::Torus;
 
 fn bench_tie_breaks(c: &mut Criterion) {
     let mut group = c.benchmark_group("pairing_by_tie_break");
     group.sample_size(10);
-    let network = TorusNetwork::bgq_partition(&[16, 4, 4, 4, 2]);
-    let flows = traffic::pairwise_exchange_flows(&traffic::bisection_pairs(&network), 2.0);
+    let fabric = Fabric::from_torus(Torus::new(vec![16, 4, 4, 4, 2]), 2.0);
+    let flows = pairing_flows(&fabric, 2.0);
     for (label, tie_break) in [
         ("positive", TieBreak::Positive),
         ("source_parity", TieBreak::SourceParity),
         ("node_parity", TieBreak::NodeParity),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &tie_break, |b, &tb| {
-            let sim = FlowSim::new(DimensionOrdered {
+            let router = DimensionOrdered {
                 tie_break: tb,
                 reverse_dimension_order: false,
-            });
+            };
             b.iter(|| {
-                sim.simulate(black_box(&network), black_box(&flows))
+                simulate_flows(black_box(&fabric), &router, black_box(&flows))
+                    .expect("torus fabrics route everything")
                     .makespan
             })
         });

@@ -7,7 +7,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use netpart_machines::known;
-use netpart_sched::{generate_trace, simulate, SchedPolicy, TraceConfig};
+use netpart_sched::{generate_trace, simulate_events, SchedPolicy, TraceConfig};
 use std::time::Duration;
 
 fn bench_policies(c: &mut Criterion) {
@@ -29,7 +29,7 @@ fn bench_policies(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(policy.label()),
             &policy,
-            |b, &policy| b.iter(|| simulate(black_box(&juqueen), policy, black_box(&trace))),
+            |b, &policy| b.iter(|| simulate_events(black_box(&juqueen), policy, black_box(&trace))),
         );
     }
     group.finish();

@@ -5,11 +5,10 @@
 use netpart_alloc::report::render_table;
 use netpart_bench::{emit, header, secs};
 use netpart_core::experiments::{bisection_pairing_experiment, mira_fig3_cases, pairing_speedups};
-use netpart_netsim::PingPongPlan;
 
 fn main() {
     let cases = mira_fig3_cases();
-    let measurements = bisection_pairing_experiment(&cases, PingPongPlan::paper_default());
+    let measurements = bisection_pairing_experiment(&cases);
     let headers = [
         "Midplanes",
         "Geometry family",

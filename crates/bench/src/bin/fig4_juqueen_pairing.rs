@@ -5,11 +5,10 @@ use netpart_bench::{emit, header, secs};
 use netpart_core::experiments::{
     bisection_pairing_experiment, juqueen_fig4_cases, pairing_speedups,
 };
-use netpart_netsim::PingPongPlan;
 
 fn main() {
     let cases = juqueen_fig4_cases();
-    let measurements = bisection_pairing_experiment(&cases, PingPongPlan::paper_default());
+    let measurements = bisection_pairing_experiment(&cases);
     let headers = [
         "Midplanes",
         "Geometry family",

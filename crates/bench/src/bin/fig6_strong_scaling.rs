@@ -2,14 +2,13 @@
 
 use netpart_alloc::report::render_table;
 use netpart_bench::{emit, header, secs};
-use netpart_netsim::FlowSim;
 use netpart_strassen::scaling::{
     communication_scaling_efficiency, mira_table4_plan, run_strong_scaling,
 };
 
 fn main() {
     let plan = mira_table4_plan();
-    let results = run_strong_scaling(&plan, &FlowSim::default());
+    let results = run_strong_scaling(&plan);
     let headers = [
         "Midplanes",
         "Computation (s)",

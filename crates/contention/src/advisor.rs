@@ -13,10 +13,9 @@ use crate::bounds::{
     runtime_breakdown, ContentionModel, NodeModel, RuntimeBreakdown, RuntimeRegime,
 };
 use netpart_machines::{BlueGeneQ, PartitionGeometry};
-use serde::{Deserialize, Serialize};
 
 /// Kernel-aware assessment of one partition size on one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelAdvice {
     /// Requested size in midplanes.
     pub midplanes: usize,

@@ -17,13 +17,12 @@
 
 use crate::kernels::Kernel;
 use netpart_iso::cuboid::min_cut_cuboid;
-use serde::{Deserialize, Serialize};
 
 /// Bytes per word used to convert word counts into seconds (double precision).
 pub const BYTES_PER_WORD: f64 = 8.0;
 
 /// A contention lower bound for one kernel on one partition geometry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContentionBound {
     /// Words the busiest link must carry.
     pub words_on_busiest_link: f64,
@@ -39,7 +38,7 @@ pub struct ContentionBound {
 }
 
 /// Model tying a kernel to the physical link parameters of the machine.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ContentionModel {
     /// The kernel being executed.
     pub kernel: Kernel,
@@ -138,7 +137,7 @@ impl ContentionModel {
 }
 
 /// How the runtime of a kernel on a partition is expected to be dominated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeRegime {
     /// Link contention is the largest lower-bound term: improving the
     /// partition geometry translates directly into wall-clock speedup.
@@ -151,7 +150,7 @@ pub enum RuntimeRegime {
 }
 
 /// Lower-bound terms (all in seconds) of one kernel on one partition.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RuntimeBreakdown {
     /// The link-contention lower bound.
     pub contention_seconds: f64,
@@ -197,7 +196,7 @@ impl RuntimeBreakdown {
 
 /// Parameters of the node hardware needed to place the contention bound next
 /// to the compute and injection-bandwidth bounds.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NodeModel {
     /// Sustained floating-point rate of one node in GFLOP/s.
     pub gflops_per_node: f64,

@@ -29,10 +29,9 @@
 
 use crate::bounds::{ContentionModel, BYTES_PER_WORD};
 use netpart_engine::Fabric;
-use serde::{Deserialize, Serialize};
 
 /// A contention lower bound for one kernel on one fabric allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricContentionBound {
     /// The contention time lower bound in seconds.
     pub seconds: f64,

@@ -22,10 +22,8 @@
 //! only when comparing against computation time, so each model also exposes
 //! its flop count.
 
-use serde::{Deserialize, Serialize};
-
 /// A parallel kernel with known communication and computation costs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kernel {
     /// Classical (non-Strassen) dense matrix multiplication of `n × n` matrices.
     ClassicalMatmul {

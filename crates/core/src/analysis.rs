@@ -9,10 +9,9 @@
 
 use netpart_alloc::{best_geometry, ComparisonRow};
 use netpart_machines::{AllocationSystem, BlueGeneQ, PartitionGeometry};
-use serde::{Deserialize, Serialize};
 
 /// The analysis of one allocation policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyAnalysis {
     /// Machine name.
     pub machine: String,
@@ -53,7 +52,7 @@ pub fn analyze_policy(system: &AllocationSystem) -> PolicyAnalysis {
 }
 
 /// A single-size recommendation: what geometry to request and what it buys.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Recommendation {
     /// Requested size in midplanes.
     pub midplanes: usize,

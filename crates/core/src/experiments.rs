@@ -8,13 +8,11 @@
 
 use netpart_machines::{known, PartitionGeometry};
 use netpart_mpi::MappingStrategy;
-use netpart_netsim::{FlowSim, PingPongPlan};
 use netpart_scenario::{run_sweep, RoutingSpec, ScenarioSpec, TopologySpec, TrafficSpec};
 use netpart_strassen::caps::{mira_table3_configs, run_caps, CapsConfig, CapsRunResult};
-use serde::{Deserialize, Serialize};
 
 /// One measurement of the bisection-pairing experiment (Figures 3 and 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairingMeasurement {
     /// Partition size in midplanes.
     pub midplanes: usize,
@@ -29,16 +27,14 @@ pub struct PairingMeasurement {
 }
 
 /// The scenario spec of one labelled pairing case: a thin builder — the
-/// geometry becomes a torus topology, the plan becomes pairing traffic.
-pub fn pairing_spec(geometry: &PartitionGeometry, plan: PingPongPlan) -> ScenarioSpec {
+/// geometry becomes a torus topology running the paper's pairing plan
+/// ([`TrafficSpec::paper_pairing`]: 30 rounds, 4 of them warm-up, 2 GB per
+/// pair and round).
+pub fn pairing_spec(geometry: &PartitionGeometry) -> ScenarioSpec {
     ScenarioSpec {
         topology: TopologySpec::Torus(geometry.node_dims().to_vec()),
         routing: RoutingSpec::DimensionOrdered,
-        traffic: TrafficSpec::BisectionPairing {
-            rounds: plan.rounds,
-            warmup_rounds: plan.warmup_rounds,
-            round_gigabytes: plan.round_gigabytes,
-        },
+        traffic: TrafficSpec::paper_pairing(),
         seed: 0,
     }
 }
@@ -55,11 +51,10 @@ pub fn pairing_spec(geometry: &PartitionGeometry, plan: PingPongPlan) -> Scenari
 /// paper's figures top out at 24).
 pub fn bisection_pairing_experiment(
     cases: &[(usize, &str, PartitionGeometry)],
-    plan: PingPongPlan,
 ) -> Vec<PairingMeasurement> {
     let specs: Vec<ScenarioSpec> = cases
         .iter()
-        .map(|(_, _, geometry)| pairing_spec(geometry, plan))
+        .map(|(_, _, geometry)| pairing_spec(geometry))
         .collect();
     run_sweep(&specs)
         .into_iter()
@@ -130,7 +125,7 @@ pub fn pairing_speedups(
 
 /// One row of the matrix-multiplication experiment (Figure 5): the same CAPS
 /// configuration run on the current and the proposed geometry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatmulMeasurement {
     /// Partition size in midplanes.
     pub midplanes: usize,
@@ -162,24 +157,13 @@ pub fn mira_matmul_experiment(configs: &[(usize, CapsConfig)]) -> Vec<MatmulMeas
         known::mira_scheduler_partitions().into_iter().collect();
     let proposed: std::collections::BTreeMap<usize, PartitionGeometry> =
         known::mira_proposed_partitions().into_iter().collect();
-    let sim = FlowSim::default();
     configs
         .iter()
         .map(|&(midplanes, config)| MatmulMeasurement {
             midplanes,
             config,
-            current: run_caps(
-                &config,
-                &current[&midplanes],
-                MappingStrategy::Balanced,
-                &sim,
-            ),
-            proposed: run_caps(
-                &config,
-                &proposed[&midplanes],
-                MappingStrategy::Balanced,
-                &sim,
-            ),
+            current: run_caps(&config, &current[&midplanes], MappingStrategy::Balanced),
+            proposed: run_caps(&config, &proposed[&midplanes], MappingStrategy::Balanced),
         })
         .collect()
 }
@@ -216,8 +200,7 @@ mod tests {
             (4usize, "Current", PartitionGeometry::new([4, 1, 1, 1])),
             (4, "Proposed", PartitionGeometry::new([2, 2, 1, 1])),
         ];
-        let plan = PingPongPlan::paper_default();
-        let measurements = bisection_pairing_experiment(&cases, plan);
+        let measurements = bisection_pairing_experiment(&cases);
         let speedups = pairing_speedups(&measurements, "Current", "Proposed");
         assert_eq!(speedups.len(), 1);
         let (_, speedup) = speedups[0];
@@ -229,25 +212,6 @@ mod tests {
         assert!(measurements[0].seconds > measurements[1].seconds);
         assert_eq!(measurements[0].bisection_links, 256);
         assert_eq!(measurements[1].bisection_links, 512);
-    }
-
-    #[test]
-    fn pairing_experiment_is_bit_identical_to_the_legacy_driver() {
-        // The scenario-backed driver must reproduce the historical
-        // `netsim::run_bisection_pairing` numbers exactly (the sweep is a
-        // refactor, not a remodel).
-        let plan = PingPongPlan::paper_default();
-        let cases = [
-            (4usize, "Current", PartitionGeometry::new([4, 1, 1, 1])),
-            (4, "Proposed", PartitionGeometry::new([2, 2, 1, 1])),
-        ];
-        let measurements = bisection_pairing_experiment(&cases, plan);
-        let sim = FlowSim::default();
-        for (m, &(_, _, geometry)) in measurements.iter().zip(&cases) {
-            let network = netpart_netsim::TorusNetwork::bgq_partition(&geometry.node_dims());
-            let legacy = netpart_netsim::run_bisection_pairing(&network, plan, &sim);
-            assert_eq!(m.seconds, legacy.total_time, "{}", m.label);
-        }
     }
 
     #[test]

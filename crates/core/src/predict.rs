@@ -8,10 +8,9 @@
 //! for every experiment, exactly as EXPERIMENTS.md tabulates.
 
 use netpart_machines::PartitionGeometry;
-use serde::{Deserialize, Serialize};
 
 /// A predicted-vs-measured comparison for one pair of geometries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictionCheck {
     /// Workload / experiment label.
     pub label: String,

@@ -9,7 +9,6 @@
 use netpart_engine::{simulate_flows, DimensionOrdered, Fabric, Flow, Router, ShortestPath};
 use netpart_iso::{harper, lindsey, weighted};
 use netpart_topology::{Dragonfly, FatTree, GlobalArrangement, HyperX, Hypercube, Torus};
-use serde::{Deserialize, Serialize};
 
 /// The bisection bandwidth (in unit links) available to a `2^d`-node
 /// hypercube sub-allocation (a subcube), via Harper's theorem: a subcube of
@@ -45,7 +44,7 @@ pub fn weighted_torus_partition_bisection(dims: &[usize], capacities: &[f64]) ->
 
 /// Summary row comparing how much an allocation's shape matters on each
 /// topology family, produced by [`topology_applicability_report`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologyCase {
     /// Topology family name.
     pub family: String,
@@ -135,7 +134,7 @@ pub fn fabric_catalog() -> Vec<(Fabric, Box<dyn Router>)> {
 
 /// One row of [`cross_topology_contention`]: the same shuffle workload on one
 /// topology family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContentionRow {
     /// Fabric name.
     pub fabric: String,

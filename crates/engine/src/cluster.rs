@@ -28,13 +28,12 @@ use crate::maxmin::ChannelId;
 use crate::router::Router;
 use crate::sim::{Component, Context, Simulation};
 use netpart_telemetry::Telemetry;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 /// One job of the stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterJob {
     /// Dense job identifier.
     pub id: usize,
@@ -198,7 +197,7 @@ impl Allocator for ScatterAllocator {
 }
 
 /// Outcome of one job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterOutcome {
     /// The job id.
     pub job_id: usize,
@@ -227,7 +226,7 @@ impl ClusterOutcome {
 }
 
 /// Aggregate metrics of one cluster run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterMetrics {
     /// Fabric name.
     pub fabric: String,

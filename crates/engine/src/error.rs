@@ -4,11 +4,9 @@
 //! so a sweep over many topologies and flow sets can skip an infeasible case
 //! and keep going.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors produced by [`Fabric`](crate::Fabric) lookups and
 /// [`Router`](crate::Router) implementations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// A node index was outside `0..num_nodes`.
     NodeOutOfRange {

@@ -5,7 +5,7 @@
 //! O(1) per-node outgoing-channel access. Every undirected link contributes
 //! two channels, one per direction, each with the full per-direction
 //! bandwidth — traffic flowing in opposite directions over one cable does
-//! not contend, exactly as in `netpart-netsim`'s torus model.
+//! not contend, exactly as on Blue Gene/Q hardware.
 //!
 //! Channels are stored struct-of-arrays: parallel `srcs` / `dsts` / capacity
 //! vectors indexed by [`ChannelId`], with `u32` endpoints. A million-node
@@ -17,15 +17,14 @@
 //! [`EngineError::IdSpaceExceeded`] — a `2^33`-node request errors instead of
 //! OOMing or truncating ids.
 //!
-//! [`Fabric::from_torus`] additionally enumerates channels in the *same
-//! order* as `netpart_netsim::TorusNetwork` (node-major, then dimension,
-//! then `+`/`-`) and keeps the hop-lookup table dimension-ordered routing
-//! needs, so torus results carry over channel-for-channel.
+//! [`Fabric::from_torus`] additionally enumerates channels in a fixed
+//! order (node-major, then dimension, then `+`/`-`) and keeps the
+//! hop-lookup table dimension-ordered routing needs
+//! ([`Fabric::hop_channel`]).
 
 use crate::error::EngineError;
 use crate::maxmin::ChannelId;
 use netpart_topology::{coord, Topology, Torus};
-use serde::{Deserialize, Serialize};
 
 /// Sentinel in the torus hop table for length-1 dimensions.
 const NO_CHANNEL: u32 = u32::MAX;
@@ -34,8 +33,8 @@ const NO_CHANNEL: u32 = u32::MAX;
 ///
 /// The fabric itself stores channels struct-of-arrays; this gather type
 /// exists for callers that want one channel's endpoints and bandwidth
-/// together, and as the serializable wire form of a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// together.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Channel {
     /// Source node of the channel.
     pub from: usize,
@@ -48,7 +47,7 @@ pub struct Channel {
 /// One link adjustment of a [`FabricPatch`]: every directed channel between
 /// `a` and `b` (both directions, parallel cables included) has its bandwidth
 /// multiplied by `scale`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkPatch {
     /// One endpoint of the link.
     pub a: usize,
@@ -60,7 +59,7 @@ pub struct LinkPatch {
 
 /// One node adjustment of a [`FabricPatch`]: every channel incident to
 /// `node` (both directions) has its bandwidth multiplied by `scale`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodePatch {
     /// The drained / degraded node.
     pub node: usize,
@@ -78,7 +77,7 @@ pub struct NodePatch {
 /// (e.g. `1e-3`), not absolute zero. Entries compose multiplicatively when
 /// they overlap (a drained node containing a degraded link scales that
 /// link's channels by both factors).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FabricPatch {
     /// Link-level capacity scales.
     pub links: Vec<LinkPatch>,
@@ -186,9 +185,11 @@ impl Fabric {
         ))
     }
 
-    /// Build the fabric of a torus with the exact channel numbering of
-    /// `netpart_netsim::TorusNetwork`: node-major, then dimension, then the
-    /// `+1` / `-1` direction, skipping length-1 dimensions. Channel
+    /// Build the fabric of a torus with channels numbered node-major, then
+    /// by dimension, then by the `+1` / `-1` direction, skipping length-1
+    /// dimensions. A Blue Gene/Q partition is
+    /// `Fabric::from_torus(Torus::new(node_dims), 2.0)`: 2 GB/s per link
+    /// and direction. Channel
     /// bandwidths are `bandwidth_gbs` scaled by the torus' per-dimension
     /// capacities.
     ///
@@ -561,6 +562,35 @@ mod tests {
         let minus = fabric.hop_channel(0, 1, -1).unwrap();
         assert_ne!(plus, minus, "parallel cables are distinct");
         assert_eq!(fabric.channel_dst(plus), fabric.channel_dst(minus));
+    }
+
+    #[test]
+    fn channel_counts_match_link_counts() {
+        // Each undirected torus link yields exactly two directed channels.
+        for dims in [vec![4, 4], vec![4, 2, 2], vec![4, 4, 4, 4, 2]] {
+            let torus = Torus::new(dims.clone());
+            let links = torus.num_links();
+            let fabric = Fabric::from_torus(torus, 2.0);
+            assert_eq!(fabric.num_channels(), 2 * links, "dims {dims:?}");
+        }
+    }
+
+    #[test]
+    fn hop_lookup_is_consistent_with_channel_endpoints() {
+        let torus = Torus::new(vec![4, 4, 2]);
+        let fabric = Fabric::from_torus(torus.clone(), 2.0);
+        for node in 0..fabric.num_nodes() {
+            for dim in 0..3 {
+                for dir in [1i8, -1] {
+                    let c = fabric.hop_channel(node, dim, dir).unwrap();
+                    assert_eq!(fabric.channel_src(c), node);
+                    let mut coord = torus.coord_of(node);
+                    let a = torus.dims()[dim];
+                    coord[dim] = (coord[dim] + if dir == 1 { 1 } else { a - 1 }) % a;
+                    assert_eq!(fabric.channel_dst(c), torus.index_of(&coord));
+                }
+            }
+        }
     }
 
     #[test]

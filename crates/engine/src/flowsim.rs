@@ -1,12 +1,14 @@
 //! The flow-simulation scenario: fluid flows on any fabric, driven by the
 //! event queue.
 //!
-//! This is the engine-native counterpart of `netpart_netsim::FlowSim`: route
-//! a flow set with any [`Router`], then let a single driver component walk
-//! the shared [`FluidSim`] state machine, one completion round per event.
-//! On a torus fabric with [`DimensionOrdered`](crate::DimensionOrdered)
-//! routing the result is bit-identical to the legacy simulator, because both
-//! front ends execute the same fluid core over the same channel numbering.
+//! Route a flow set with any [`Router`], then let a single driver component
+//! walk the [`FluidSim`] state machine, one completion round per event. The
+//! result is bit-identical to running the same `FluidSim` in a plain loop.
+//! The paper's torus experiments (kernels, CAPS, bisection pairing) all run
+//! through [`simulate_flows`] with
+//! [`DimensionOrdered`](crate::DimensionOrdered) routing on
+//! [`Fabric::from_torus`] fabrics; [`pairing_flows`] generates the
+//! bisection-pairing traffic.
 
 use crate::error::EngineError;
 use crate::fabric::Fabric;
@@ -14,12 +16,11 @@ use crate::fluid::{FluidOutcome, FluidSim};
 use crate::maxmin::ChannelId;
 use crate::router::Router;
 use crate::sim::{Component, Context, Simulation};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// A point-to-point message to be delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Flow {
     /// Source node.
     pub src: usize,
@@ -27,6 +28,37 @@ pub struct Flow {
     pub dst: usize,
     /// Message size in gigabytes.
     pub gigabytes: f64,
+}
+
+/// Flows of one bisection-pairing round (the benchmark of Section 4.1):
+/// every node is paired with its torus antipode (the furthest-node scheme
+/// of Chen et al.) on a torus fabric, or with its index mirror on other
+/// fabrics (both cross every axis-aligned bisection of the generated
+/// families). Each unordered pair exchanges `gigabytes` in both
+/// directions; pairs are listed by ascending first endpoint, `a → b`
+/// before `b → a`.
+pub fn pairing_flows(fabric: &Fabric, gigabytes: f64) -> Vec<Flow> {
+    let n = fabric.num_nodes();
+    let mut flows = Vec::with_capacity(n);
+    for a in 0..n {
+        let b = match fabric.torus() {
+            Some(torus) => torus.antipode(a),
+            None => n - 1 - a,
+        };
+        if a < b {
+            flows.push(Flow {
+                src: a,
+                dst: b,
+                gigabytes,
+            });
+            flows.push(Flow {
+                src: b,
+                dst: a,
+                gigabytes,
+            });
+        }
+    }
+    flows
 }
 
 /// Events of the flow scenario: one rate-recomputation round per event.
@@ -220,6 +252,67 @@ mod tests {
                 assert!(est <= out.makespan + 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn two_flows_sharing_a_channel_halve_their_rate() {
+        let fabric = Fabric::from_torus(Torus::new(vec![8]), 2.0);
+        // Both flows start on channel 0 -> 1; the first continues to node 2.
+        let flows = [
+            Flow {
+                src: 0,
+                dst: 2,
+                gigabytes: 2.0,
+            },
+            Flow {
+                src: 0,
+                dst: 1,
+                gigabytes: 2.0,
+            },
+        ];
+        let out = simulate_flows(&fabric, &DimensionOrdered::default(), &flows).unwrap();
+        // Each gets 1 GB/s on the shared hop; the longer flow's second hop
+        // does not lift that limit, so both finish together at 2 s.
+        assert!((out.completion[0] - 2.0).abs() < 1e-9);
+        assert!((out.completion[1] - 2.0).abs() < 1e-9);
+        assert!((out.makespan - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn opposite_directions_do_not_contend() {
+        let fabric = Fabric::from_torus(Torus::new(vec![8]), 2.0);
+        let flows = [
+            Flow {
+                src: 0,
+                dst: 1,
+                gigabytes: 2.0,
+            },
+            Flow {
+                src: 1,
+                dst: 0,
+                gigabytes: 2.0,
+            },
+        ];
+        let out = simulate_flows(&fabric, &DimensionOrdered::default(), &flows).unwrap();
+        assert!((out.makespan - 1.0).abs() < 1e-9, "full 2 GB/s each way");
+    }
+
+    #[test]
+    fn bisection_pairs_cover_every_node_once() {
+        let torus = Torus::new(vec![4, 4, 2]);
+        let fabric = Fabric::from_torus(torus.clone(), 2.0);
+        let flows = pairing_flows(&fabric, 1.0);
+        assert_eq!(flows.len(), fabric.num_nodes());
+        let mut seen = vec![false; fabric.num_nodes()];
+        for pair in flows.chunks(2) {
+            let (a, b) = (pair[0].src, pair[0].dst);
+            assert_eq!((pair[1].src, pair[1].dst), (b, a), "both directions");
+            assert!(!seen[a] && !seen[b]);
+            seen[a] = true;
+            seen[b] = true;
+            assert_eq!(torus.distance(a, b), torus.diameter());
+        }
+        assert!(seen.into_iter().all(|s| s));
     }
 
     #[test]

@@ -2,19 +2,17 @@
 //!
 //! [`FluidSim`] advances a set of fluid flows over capacitated channels from
 //! one completion round to the next, recomputing max–min fair rates in
-//! between. It is deliberately front-end agnostic: `netpart-netsim` drives it
-//! in a plain loop for the legacy torus API, and this crate's
-//! [`flowsim`](crate::flowsim) scenario drives the *same* state machine
-//! through the event queue — so the two produce bit-identical results on
-//! identical inputs.
+//! between. It is deliberately driver agnostic: [`FluidSim::run_to_completion`]
+//! runs it in a plain loop, and this crate's [`flowsim`](crate::flowsim)
+//! scenario drives the *same* state machine through the event queue — so
+//! the two produce bit-identical results on identical inputs.
 
 use crate::incremental::{IncrementalMaxMin, SolverMode};
 use crate::maxmin::{max_min_rates_csr, ChannelId, MaxMinScratch};
 use netpart_telemetry::{Telemetry, TelemetryEvent};
-use serde::{Deserialize, Serialize};
 
 /// Result of running a [`FluidSim`] to completion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FluidOutcome {
     /// Time at which the last flow finished (seconds).
     pub makespan: f64,

@@ -15,8 +15,9 @@
 //!    [`netpart_topology::Topology`] becomes a [`Fabric`] of directed
 //!    channels; a [`Router`] (dimension-ordered on tori, shortest-path /
 //!    ECMP / Valiant anywhere) assigns channel paths; the max–min fair fluid
-//!    core shared with `netpart-netsim` turns routed flows into completion
-//!    times.
+//!    core turns routed flows into completion times. This is the only flow
+//!    simulator in the workspace: the paper's torus experiments run through
+//!    it too.
 //! 3. **Scenarios** ([`flowsim`], [`cluster`]) — the flow simulation and a
 //!    dynamic job-stream scheduler, both expressed as engine components, and
 //!    both running unchanged on tori, Dragonflies, fat-trees, Slim Flies,
@@ -110,7 +111,9 @@ pub use delta::{DeltaFlow, DeltaFluidScorer, DeltaScore, DeltaStats};
 pub use error::EngineError;
 pub use event::{ComponentId, Event, EventId, EventQueue, QueueKind};
 pub use fabric::{Channel, Fabric, FabricPatch, LinkPatch, NodePatch};
-pub use flowsim::{route_flows, route_flows_csr, simulate_flows, static_estimate, Flow};
+pub use flowsim::{
+    pairing_flows, route_flows, route_flows_csr, simulate_flows, static_estimate, Flow,
+};
 pub use fluid::{FluidOutcome, FluidSim};
 pub use incremental::{IncrementalMaxMin, SolverMode};
 pub use maxmin::{max_min_rates, max_min_rates_csr, ChannelId, MaxMinScratch};

@@ -1,9 +1,8 @@
 //! Max–min fair rate allocation over arbitrary channel sets.
 //!
-//! This is the progressive-filling (water-filling) core shared by the torus
-//! front end in `netpart-netsim` and the topology-generic fabric scenarios
-//! in this crate: both hand it channel paths and capacities, so a torus run
-//! produces bit-identical rates through either front end.
+//! This is the progressive-filling (water-filling) core behind every flow
+//! simulation in the workspace: callers hand it channel paths and
+//! capacities, whatever the topology.
 //!
 //! The solver is allocation-free on the hot path: callers that solve
 //! repeatedly (every [`FluidSim`](crate::FluidSim) completion round) keep a

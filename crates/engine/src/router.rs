@@ -4,8 +4,11 @@
 //! from `src` to `dst` traverses. Three families cover the topology zoo:
 //!
 //! * [`DimensionOrdered`] — the Blue Gene/Q hardware routing, valid only on
-//!   fabrics built with [`Fabric::from_torus`]; mirrors
-//!   `netpart_netsim::DimensionOrdered` channel for channel.
+//!   fabrics built with [`Fabric::from_torus`]. It takes the shorter
+//!   wrap-around direction per dimension; the [`TieBreak`] rule for
+//!   half-way displacements matters because it is the effect the paper
+//!   observes on the 24-midplane Mira partition (some links of the size-3
+//!   dimension are used in one direction only).
 //! * [`ShortestPath`] / [`Ecmp`] — minimal routing on arbitrary fabrics;
 //!   `ShortestPath` always takes the lowest-numbered minimal channel, `Ecmp`
 //!   hash-spreads over all minimal next hops.
@@ -19,7 +22,6 @@ use crate::error::EngineError;
 use crate::fabric::Fabric;
 use crate::maxmin::ChannelId;
 use netpart_topology::coord::{self, wrap_displacement};
-use serde::{Deserialize, Serialize};
 
 /// Torus dimensionality up to which [`DimensionOrdered`] keeps coordinates
 /// in stack buffers (every machine in the workspace is 5-D or less).
@@ -54,20 +56,23 @@ pub trait Router {
 
 /// How [`DimensionOrdered`] resolves the direction when both wrap-around
 /// directions are equally short (displacement exactly half the dimension).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TieBreak {
-    /// Always travel in the `+1` direction (the hardware default).
+    /// Always travel in the `+1` direction (the hardware default; leaves
+    /// the `-1` channels idle for antipodal traffic).
     #[default]
     Positive,
-    /// Choose by the parity of the source coordinate in that dimension.
+    /// Choose by the parity of the source coordinate in that dimension,
+    /// spreading antipodal traffic over both directions.
     SourceParity,
-    /// Choose by the parity of the source node index.
+    /// Choose by the parity of the source node index (a cheap
+    /// pseudo-random spreading rule).
     NodeParity,
 }
 
-/// Dimension-ordered routing on torus fabrics, mirroring
-/// `netpart_netsim::DimensionOrdered`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+/// Dimension-ordered routing on torus fabrics; the default is the
+/// hardware's (first-to-last dimension order, positive tie-break).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DimensionOrdered {
     /// Tie-breaking rule for half-way displacements.
     pub tie_break: TieBreak,
@@ -183,7 +188,7 @@ impl Router for DimensionOrdered {
 
 /// Deterministic minimal routing: at every node take the lowest-numbered
 /// channel that reduces the hop distance to the destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShortestPath;
 
 impl Router for ShortestPath {
@@ -216,7 +221,7 @@ impl Router for ShortestPath {
 /// Equal-cost multi-path minimal routing: at every node choose among all
 /// distance-reducing channels by a deterministic hash of (flow endpoints,
 /// current node, salt), spreading load over the minimal DAG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Ecmp {
     /// Hash salt; different salts give different (still deterministic)
     /// spreadings.
@@ -260,7 +265,7 @@ impl Router for Ecmp {
 /// Valiant load-balanced routing: minimal to a pseudo-random intermediate
 /// node, then minimal to the destination. Trades path length for load
 /// spreading on adversarial patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Valiant {
     /// Seed for the deterministic intermediate-node choice.
     pub seed: u64,
@@ -449,6 +454,79 @@ mod tests {
                 assert_eq!(path.len(), torus.distance(src, dst));
             }
         }
+    }
+
+    /// The direction (`+1` or `-1`) in which torus channel `c` travels
+    /// along `dim`.
+    fn direction_of(fabric: &Fabric, c: ChannelId, dim: usize) -> i8 {
+        let node = fabric.channel_src(c);
+        if fabric.hop_channel(node, dim, 1) == Ok(c) {
+            1
+        } else {
+            assert_eq!(fabric.hop_channel(node, dim, -1), Ok(c));
+            -1
+        }
+    }
+
+    #[test]
+    fn shorter_wrap_direction_is_taken() {
+        let fabric = Fabric::from_torus(Torus::new(vec![8]), 2.0);
+        // 0 -> 6 is 2 hops in the -1 direction, not 6 hops in +1.
+        let path = DimensionOrdered::default().route(&fabric, 0, 6).unwrap();
+        assert_eq!(path.len(), 2);
+        assert!(path.iter().all(|&c| direction_of(&fabric, c, 0) == -1));
+    }
+
+    #[test]
+    fn positive_tie_break_uses_only_plus_channels() {
+        let fabric = Fabric::from_torus(Torus::new(vec![8]), 2.0);
+        let router = DimensionOrdered {
+            tie_break: TieBreak::Positive,
+            reverse_dimension_order: false,
+        };
+        for src in 0..8 {
+            let path = router.route(&fabric, src, (src + 4) % 8).unwrap();
+            assert_eq!(path.len(), 4);
+            assert!(path.iter().all(|&c| direction_of(&fabric, c, 0) == 1));
+        }
+    }
+
+    #[test]
+    fn parity_tie_break_uses_both_directions() {
+        let fabric = Fabric::from_torus(Torus::new(vec![8]), 2.0);
+        let router = DimensionOrdered {
+            tie_break: TieBreak::SourceParity,
+            reverse_dimension_order: false,
+        };
+        let dirs: std::collections::HashSet<i8> = (0..8)
+            .map(|src| {
+                let path = router.route(&fabric, src, (src + 4) % 8).unwrap();
+                direction_of(&fabric, path[0], 0)
+            })
+            .collect();
+        assert_eq!(
+            dirs.len(),
+            2,
+            "antipodal traffic should use both directions"
+        );
+    }
+
+    #[test]
+    fn reverse_dimension_order_still_reaches_destination() {
+        let fabric = Fabric::from_torus(Torus::new(vec![4, 4, 4]), 2.0);
+        let forward = DimensionOrdered::default().route(&fabric, 3, 42).unwrap();
+        let reverse = DimensionOrdered {
+            tie_break: TieBreak::Positive,
+            reverse_dimension_order: true,
+        }
+        .route(&fabric, 3, 42)
+        .unwrap();
+        walk_is_valid(&fabric, 3, 42, &reverse);
+        assert_eq!(forward.len(), reverse.len());
+        assert_ne!(
+            forward, reverse,
+            "different dimension orders use different channels"
+        );
     }
 
     #[test]

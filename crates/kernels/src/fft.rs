@@ -10,16 +10,15 @@
 //! after the local FFT stages), with an optional third transpose when the
 //! output must be returned in natural order.
 
+use netpart_engine::Fabric;
 use netpart_mpi::collectives::{self, Phases};
-use netpart_mpi::RankMapping;
-use netpart_netsim::{FlowSim, TorusNetwork};
-use serde::{Deserialize, Serialize};
+use netpart_mpi::{phase_seconds, RankMapping};
 
 /// Bytes per complex double-precision value.
 pub const BYTES_PER_COMPLEX: f64 = 16.0;
 
 /// Configuration of a distributed FFT.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FftConfig {
     /// Transform length (number of complex points).
     pub points: u64,
@@ -63,7 +62,7 @@ pub fn transpose_phases(mapping: &RankMapping, config: &FftConfig) -> Phases {
 }
 
 /// Result of simulating the communication of a distributed FFT.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FftResult {
     /// Communication time of a single transpose (seconds).
     pub transpose_seconds: f64,
@@ -73,19 +72,13 @@ pub struct FftResult {
     pub volume_gb: f64,
 }
 
-/// Simulate the transposes of a distributed FFT on a partition.
-pub fn run_fft(
-    network: &TorusNetwork,
-    sim: &FlowSim,
-    mapping: &RankMapping,
-    config: &FftConfig,
-) -> FftResult {
+/// Simulate the transposes of a distributed FFT on a torus partition
+/// fabric (see [`phase_seconds`]).
+pub fn run_fft(fabric: &Fabric, mapping: &RankMapping, config: &FftConfig) -> FftResult {
     let phases = transpose_phases(mapping, config);
     let mut transpose_seconds = 0.0;
     for flows in &phases {
-        if !flows.is_empty() {
-            transpose_seconds += sim.simulate(network, flows).makespan;
-        }
+        transpose_seconds += phase_seconds(fabric, flows);
     }
     FftResult {
         transpose_seconds,
@@ -98,6 +91,7 @@ pub fn run_fft(
 mod tests {
     use super::*;
     use netpart_mpi::collectives::total_volume;
+    use netpart_topology::Torus;
 
     #[test]
     fn four_step_configuration_uses_two_transposes() {
@@ -121,23 +115,21 @@ mod tests {
     #[test]
     fn fft_time_scales_with_transform_length() {
         let dims = [4usize, 2, 2];
-        let network = TorusNetwork::bgq_partition(&dims);
-        let sim = FlowSim::default();
+        let fabric = Fabric::from_torus(Torus::new(dims.to_vec()), 2.0);
         let mapping = RankMapping::one_rank_per_node(16);
-        let small = run_fft(&network, &sim, &mapping, &FftConfig::four_step(1 << 20, 16));
-        let large = run_fft(&network, &sim, &mapping, &FftConfig::four_step(1 << 22, 16));
+        let small = run_fft(&fabric, &mapping, &FftConfig::four_step(1 << 20, 16));
+        let large = run_fft(&fabric, &mapping, &FftConfig::four_step(1 << 22, 16));
         assert!((large.comm_seconds / small.comm_seconds - 4.0).abs() < 1e-6);
     }
 
     #[test]
     fn comm_time_counts_every_transpose() {
         let dims = [4usize, 2, 2];
-        let network = TorusNetwork::bgq_partition(&dims);
-        let sim = FlowSim::default();
+        let fabric = Fabric::from_torus(Torus::new(dims.to_vec()), 2.0);
         let mapping = RankMapping::one_rank_per_node(16);
         let mut config = FftConfig::four_step(1 << 20, 16);
         config.transposes = 3;
-        let result = run_fft(&network, &sim, &mapping, &config);
+        let result = run_fft(&fabric, &mapping, &config);
         assert!((result.comm_seconds - result.transpose_seconds * 3.0).abs() < 1e-12);
         assert!(result.volume_gb > 0.0);
     }

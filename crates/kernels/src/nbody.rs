@@ -11,16 +11,15 @@
 //! approximation is exact in the fluid model because the steps are separated
 //! by a barrier (the force computation).
 
+use netpart_engine::{Fabric, Flow};
 use netpart_mpi::collectives::Phases;
-use netpart_mpi::RankMapping;
-use netpart_netsim::{Flow, FlowSim, TorusNetwork};
-use serde::{Deserialize, Serialize};
+use netpart_mpi::{phase_seconds, RankMapping};
 
 /// Bytes per particle: position (3 doubles) plus mass.
 pub const BYTES_PER_PARTICLE: f64 = 32.0;
 
 /// Configuration of one direct N-body time step.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NBodyConfig {
     /// Total number of particles.
     pub bodies: u64,
@@ -66,7 +65,7 @@ pub fn ring_step_phase(mapping: &RankMapping, config: &NBodyConfig) -> Phases {
 }
 
 /// Result of simulating one N-body time step on a partition.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NBodyStepResult {
     /// Communication time of one ring step (seconds).
     pub ring_step_seconds: f64,
@@ -77,20 +76,15 @@ pub struct NBodyStepResult {
     pub volume_gb: f64,
 }
 
-/// Simulate the communication of one N-body time step on a partition.
+/// Simulate the communication of one N-body time step on a torus partition
+/// fabric (see [`phase_seconds`]).
 pub fn run_nbody_step(
-    network: &TorusNetwork,
-    sim: &FlowSim,
+    fabric: &Fabric,
     mapping: &RankMapping,
     config: &NBodyConfig,
 ) -> NBodyStepResult {
     let phases = ring_step_phase(mapping, config);
-    let flows = &phases[0];
-    let ring_step_seconds = if flows.is_empty() {
-        0.0
-    } else {
-        sim.simulate(network, flows).makespan
-    };
+    let ring_step_seconds = phase_seconds(fabric, &phases[0]);
     NBodyStepResult {
         ring_step_seconds,
         comm_seconds: ring_step_seconds * config.ring_steps() as f64,
@@ -102,6 +96,7 @@ pub fn run_nbody_step(
 mod tests {
     use super::*;
     use netpart_mpi::collectives::total_volume;
+    use netpart_topology::Torus;
 
     #[test]
     fn block_size_and_volume_are_consistent() {
@@ -135,14 +130,13 @@ mod tests {
         // entirely nearest-neighbour traffic: the step time stays close to
         // the uncontended block transfer time.
         let dims = [4usize, 4, 2];
-        let network = TorusNetwork::bgq_partition(&dims);
-        let sim = FlowSim::default();
+        let fabric = Fabric::from_torus(Torus::new(dims.to_vec()), 2.0);
         let config = NBodyConfig {
             bodies: 1 << 18,
             ranks: 32,
         };
         let mapping = RankMapping::one_rank_per_node(32);
-        let result = run_nbody_step(&network, &sim, &mapping, &config);
+        let result = run_nbody_step(&fabric, &mapping, &config);
         let uncontended = config.block_gigabytes() / 2.0; // 2 GB/s links
         assert!(result.ring_step_seconds >= uncontended - 1e-12);
         assert!(
@@ -156,14 +150,13 @@ mod tests {
     #[test]
     fn comm_time_is_per_step_times_ring_length() {
         let dims = [4usize, 2, 2];
-        let network = TorusNetwork::bgq_partition(&dims);
-        let sim = FlowSim::default();
+        let fabric = Fabric::from_torus(Torus::new(dims.to_vec()), 2.0);
         let config = NBodyConfig {
             bodies: 16_384,
             ranks: 16,
         };
         let mapping = RankMapping::one_rank_per_node(16);
-        let result = run_nbody_step(&network, &sim, &mapping, &config);
+        let result = run_nbody_step(&fabric, &mapping, &config);
         assert!((result.comm_seconds - result.ring_step_seconds * 15.0).abs() < 1e-12);
     }
 

@@ -14,13 +14,13 @@
 use crate::fft::{run_fft, FftConfig};
 use crate::nbody::{run_nbody_step, NBodyConfig};
 use crate::summa::{run_summa, SummaConfig};
+use netpart_engine::{pairing_flows, Fabric};
 use netpart_iso::bisection::torus_bisection_links;
-use netpart_mpi::RankMapping;
-use netpart_netsim::{traffic, FlowSim, TorusNetwork};
-use serde::{Deserialize, Serialize};
+use netpart_mpi::{phase_seconds, RankMapping};
+use netpart_topology::Torus;
 
 /// A benchmark workload whose communication can be replayed on any partition.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum Workload {
     /// The paper's bisection-pairing ping-pong: antipodal pairs exchange
     /// `gigabytes` each (a single round).
@@ -55,29 +55,16 @@ impl Workload {
     /// Panics if a kernel workload's rank count does not equal the node count
     /// of the partition.
     pub fn comm_seconds(&self, node_dims: &[usize]) -> f64 {
-        let network = TorusNetwork::bgq_partition(node_dims);
-        let sim = FlowSim::default();
+        let fabric = Fabric::from_torus(Torus::new(node_dims.to_vec()), 2.0);
+        let mapping = || RankMapping::one_rank_per_node(fabric.num_nodes());
         match *self {
             Workload::BisectionPairing { gigabytes } => {
-                let pairs = traffic::bisection_pairs(&network);
-                let flows = traffic::pairwise_exchange_flows(&pairs, gigabytes);
-                if flows.is_empty() {
-                    0.0
-                } else {
-                    sim.simulate(&network, &flows).makespan
-                }
+                phase_seconds(&fabric, &pairing_flows(&fabric, gigabytes))
             }
-            Workload::NBody(config) => {
-                let mapping = RankMapping::one_rank_per_node(network.num_nodes());
-                run_nbody_step(&network, &sim, &mapping, &config).comm_seconds
-            }
-            Workload::Fft(config) => {
-                let mapping = RankMapping::one_rank_per_node(network.num_nodes());
-                run_fft(&network, &sim, &mapping, &config).comm_seconds
-            }
+            Workload::NBody(config) => run_nbody_step(&fabric, &mapping(), &config).comm_seconds,
+            Workload::Fft(config) => run_fft(&fabric, &mapping(), &config).comm_seconds,
             Workload::Summa(config) => {
-                let mapping = RankMapping::one_rank_per_node(network.num_nodes());
-                run_summa(&network, &sim, &mapping, &config, Some(1)).comm_seconds
+                run_summa(&fabric, &mapping(), &config, Some(1)).comm_seconds
             }
         }
     }
@@ -85,7 +72,7 @@ impl Workload {
 
 /// Outcome of a bisection-sensitivity comparison between two equal-sized
 /// partition geometries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SensitivityReport {
     /// Node-level dimensions of the lower-bisection geometry.
     pub low_dims: Vec<usize>,

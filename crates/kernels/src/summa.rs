@@ -9,13 +9,12 @@
 //! along their grid column. Each panel is an `(n/√P) × (n/√P)` block of
 //! doubles.
 
+use netpart_engine::{Fabric, Flow};
 use netpart_mpi::collectives::Phases;
-use netpart_mpi::RankMapping;
-use netpart_netsim::{Flow, FlowSim, TorusNetwork};
-use serde::{Deserialize, Serialize};
+use netpart_mpi::{phase_seconds, RankMapping};
 
 /// Configuration of a SUMMA execution.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SummaConfig {
     /// Matrix dimension `n` (matrices are `n × n` doubles).
     pub matrix_dim: u64,
@@ -120,7 +119,7 @@ pub fn step_phase(mapping: &RankMapping, config: &SummaConfig, step: usize) -> P
 }
 
 /// Result of simulating SUMMA communication on a partition.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SummaResult {
     /// Mean communication time per outer step (seconds).
     pub mean_step_seconds: f64,
@@ -130,12 +129,12 @@ pub struct SummaResult {
     pub volume_gb: f64,
 }
 
-/// Simulate SUMMA communication. `sampled_steps` limits how many of the `√P`
-/// outer steps are actually simulated (the remainder is extrapolated from
-/// their mean); passing `None` simulates every step.
+/// Simulate SUMMA communication on a torus partition fabric (see
+/// [`phase_seconds`]). `sampled_steps` limits how many of the `√P` outer
+/// steps are actually simulated (the remainder is extrapolated from their
+/// mean); passing `None` simulates every step.
 pub fn run_summa(
-    network: &TorusNetwork,
-    sim: &FlowSim,
+    fabric: &Fabric,
     mapping: &RankMapping,
     config: &SummaConfig,
     sampled_steps: Option<usize>,
@@ -146,9 +145,7 @@ pub fn run_summa(
     for step in 0..sample {
         let phases = step_phase(mapping, config, step);
         for flows in &phases {
-            if !flows.is_empty() {
-                sampled_time += sim.simulate(network, flows).makespan;
-            }
+            sampled_time += phase_seconds(fabric, flows);
         }
     }
     let mean_step_seconds = sampled_time / sample as f64;
@@ -163,6 +160,7 @@ pub fn run_summa(
 mod tests {
     use super::*;
     use netpart_mpi::collectives::total_volume;
+    use netpart_topology::Torus;
 
     #[test]
     fn grid_geometry_round_trips() {
@@ -206,12 +204,11 @@ mod tests {
     #[test]
     fn sampled_run_extrapolates_to_all_steps() {
         let dims = [4usize, 2, 2];
-        let network = TorusNetwork::bgq_partition(&dims);
-        let sim = FlowSim::default();
+        let fabric = Fabric::from_torus(Torus::new(dims.to_vec()), 2.0);
         let config = SummaConfig::new(8192, 16);
         let mapping = RankMapping::one_rank_per_node(16);
-        let sampled = run_summa(&network, &sim, &mapping, &config, Some(1));
-        let full = run_summa(&network, &sim, &mapping, &config, None);
+        let sampled = run_summa(&fabric, &mapping, &config, Some(1));
+        let full = run_summa(&fabric, &mapping, &config, None);
         assert!((sampled.comm_seconds - sampled.mean_step_seconds * 4.0).abs() < 1e-12);
         // The extrapolation is close to the full simulation because the steps
         // are symmetric up to torus translation.

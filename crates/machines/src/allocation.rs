@@ -14,11 +14,10 @@
 
 use crate::bgq::BlueGeneQ;
 use crate::partition::PartitionGeometry;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How a machine's scheduler maps partition requests to geometries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AllocationPolicy {
     /// Only a predefined list of geometries is available (Mira).
     Predefined {
@@ -30,7 +29,7 @@ pub enum AllocationPolicy {
 }
 
 /// A machine together with its allocation policy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocationSystem {
     machine: BlueGeneQ,
     policy: AllocationPolicy,

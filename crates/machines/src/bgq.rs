@@ -7,10 +7,9 @@
 use crate::midplane::{self, NODES_PER_MIDPLANE};
 use crate::partition::{enumerate_geometries, PartitionGeometry};
 use netpart_topology::Torus;
-use serde::{Deserialize, Serialize};
 
 /// A Blue Gene/Q machine: a named torus of midplanes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlueGeneQ {
     name: String,
     midplane_dims: [usize; 4],

@@ -9,11 +9,10 @@
 
 use crate::midplane::{self, NODES_PER_MIDPLANE};
 use netpart_topology::Torus;
-use serde::{Deserialize, Serialize};
 
 /// A cuboid of midplanes, stored as four midplane-level extents in
 /// descending order (the canonical representation of Section 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PartitionGeometry {
     dims: [usize; 4],
 }

@@ -8,7 +8,7 @@
 //! zero-length flow (it completes instantly).
 
 use crate::mapping::RankMapping;
-use netpart_netsim::Flow;
+use netpart_engine::Flow;
 
 /// A sequence of communication phases; each phase is a set of concurrent
 /// point-to-point flows (node-level).
@@ -175,6 +175,31 @@ pub fn group_counterpart_exchange(mapping: &RankMapping, groups: usize, gigabyte
         }
     }
     vec![flows]
+}
+
+/// Merge flows that share the same (source, destination) pair into a single
+/// flow carrying the summed volume, dropping zero-byte and intra-node
+/// traffic. Rank-level traffic generators use this to produce one node-level
+/// flow per node pair, which keeps the fluid simulation small without
+/// changing per-channel loads.
+pub fn aggregate_flows(flows: &[Flow]) -> Vec<Flow> {
+    let mut by_pair: std::collections::HashMap<(usize, usize), f64> =
+        std::collections::HashMap::new();
+    for f in flows {
+        if f.src != f.dst && f.gigabytes > 0.0 {
+            *by_pair.entry((f.src, f.dst)).or_insert(0.0) += f.gigabytes;
+        }
+    }
+    let mut out: Vec<Flow> = by_pair
+        .into_iter()
+        .map(|((src, dst), gigabytes)| Flow {
+            src,
+            dst,
+            gigabytes,
+        })
+        .collect();
+    out.sort_by_key(|f| (f.src, f.dst));
+    out
 }
 
 /// Total gigabytes injected by a phase list (counting every flow once,

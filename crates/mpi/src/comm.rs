@@ -5,11 +5,10 @@
 //! node-level flows for collectives restricted to its members.
 
 use crate::mapping::RankMapping;
-use netpart_netsim::Flow;
-use serde::{Deserialize, Serialize};
+use netpart_engine::Flow;
 
 /// A subset of ranks participating in a collective.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Communicator {
     /// Global ranks belonging to this communicator, in local-rank order.
     pub ranks: Vec<usize>,

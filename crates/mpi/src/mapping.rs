@@ -9,10 +9,9 @@
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Strategy for placing ranks on nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MappingStrategy {
     /// Rank `r` runs on node `r / ranks_per_node` (ABCDE-order fill, the
     /// Blue Gene/Q default). When the rank count is not a multiple of the
@@ -33,7 +32,7 @@ pub enum MappingStrategy {
 }
 
 /// A concrete assignment of ranks to nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankMapping {
     node_of_rank: Vec<usize>,
     num_nodes: usize,

@@ -7,11 +7,10 @@
 //! communication-hiding overlap.
 
 use crate::collectives::Phases;
-use netpart_netsim::{Flow, FlowSim, TorusNetwork};
-use serde::{Deserialize, Serialize};
+use netpart_engine::{simulate_flows, DimensionOrdered, Fabric, Flow};
 
 /// One step of a program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramPhase {
     /// Human-readable label (appears in traces).
     pub label: String,
@@ -48,7 +47,7 @@ impl ProgramPhase {
 }
 
 /// A full program: phases executed back to back.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Program {
     /// The phases in execution order.
     pub phases: Vec<ProgramPhase>,
@@ -74,7 +73,7 @@ impl Program {
 }
 
 /// Timing breakdown of a simulated program run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramResult {
     /// Total wall-clock time (seconds).
     pub total_seconds: f64,
@@ -89,19 +88,33 @@ pub struct ProgramResult {
     pub trace: Vec<(String, f64, f64)>,
 }
 
-/// Execute a program on a partition network.
-pub fn run_program(network: &TorusNetwork, sim: &FlowSim, program: &Program) -> ProgramResult {
+/// Communication time (seconds) of one phase: `flows` routed with the
+/// hardware's dimension-ordered routing on a torus `fabric` and shared
+/// max–min fairly until the last one completes; 0 for an empty phase.
+///
+/// # Panics
+/// Panics if `fabric` is not a torus or a flow endpoint is out of range.
+pub fn phase_seconds(fabric: &Fabric, flows: &[Flow]) -> f64 {
+    if flows.is_empty() {
+        return 0.0;
+    }
+    simulate_flows(fabric, &DimensionOrdered::default(), flows)
+        .unwrap_or_else(|e| panic!("torus routing failed: {e}"))
+        .makespan
+}
+
+/// Execute a program on a torus partition fabric (see [`phase_seconds`]).
+///
+/// # Panics
+/// Panics if `fabric` is not a torus or a flow endpoint is out of range.
+pub fn run_program(fabric: &Fabric, program: &Program) -> ProgramResult {
     let mut total = 0.0;
     let mut exposed = 0.0;
     let mut raw_comm = 0.0;
     let mut compute = 0.0;
     let mut trace = Vec::with_capacity(program.phases.len());
     for phase in &program.phases {
-        let comm_time = if phase.flows.is_empty() {
-            0.0
-        } else {
-            sim.simulate(network, &phase.flows).makespan
-        };
+        let comm_time = phase_seconds(fabric, &phase.flows);
         raw_comm += comm_time;
         compute += phase.compute_seconds;
         let phase_time = if phase.overlap {
@@ -127,15 +140,15 @@ mod tests {
     use super::*;
     use crate::collectives;
     use crate::mapping::RankMapping;
+    use netpart_topology::Torus;
 
     #[test]
     fn compute_only_program_has_no_comm() {
-        let net = TorusNetwork::bgq_partition(&[4, 4, 2]);
-        let sim = FlowSim::default();
+        let net = Fabric::from_torus(Torus::new(vec![4, 4, 2]), 2.0);
         let mut program = Program::new();
         program.push(ProgramPhase::compute("local", 1.5));
         program.push(ProgramPhase::compute("local2", 0.5));
-        let result = run_program(&net, &sim, &program);
+        let result = run_program(&net, &program);
         assert!((result.total_seconds - 2.0).abs() < 1e-12);
         assert_eq!(result.exposed_comm_seconds, 0.0);
         assert_eq!(result.raw_comm_seconds, 0.0);
@@ -143,8 +156,7 @@ mod tests {
 
     #[test]
     fn overlap_hides_the_shorter_component() {
-        let net = TorusNetwork::bgq_partition(&[8]);
-        let sim = FlowSim::default();
+        let net = Fabric::from_torus(Torus::new(vec![8]), 2.0);
         let flows = vec![Flow {
             src: 0,
             dst: 1,
@@ -157,7 +169,7 @@ mod tests {
             compute_seconds: 3.0,
             overlap: true,
         });
-        let overlapped = run_program(&net, &sim, &program);
+        let overlapped = run_program(&net, &program);
         assert!((overlapped.total_seconds - 3.0).abs() < 1e-9);
         assert!((overlapped.raw_comm_seconds - 1.0).abs() < 1e-9);
 
@@ -168,18 +180,17 @@ mod tests {
             compute_seconds: 3.0,
             overlap: false,
         });
-        let serial = run_program(&net, &sim, &serial);
+        let serial = run_program(&net, &serial);
         assert!((serial.total_seconds - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn collective_phases_accumulate_comm_time() {
-        let net = TorusNetwork::bgq_partition(&[4, 4, 4, 2]);
-        let sim = FlowSim::default();
+        let net = Fabric::from_torus(Torus::new(vec![4, 4, 4, 2]), 2.0);
         let mapping = RankMapping::one_rank_per_node(net.num_nodes());
         let mut program = Program::new();
         program.push_collective("allgather", collectives::ring_allgather(&mapping, 0.01));
-        let result = run_program(&net, &sim, &program);
+        let result = run_program(&net, &program);
         assert_eq!(result.trace.len(), net.num_nodes() - 1);
         assert!(result.raw_comm_seconds > 0.0);
         assert!((result.total_seconds - result.raw_comm_seconds).abs() < 1e-9);
@@ -191,10 +202,9 @@ mod tests {
         // faster on the better-shaped partition of equal size. Use a rank
         // count divisible by 7, leaving some nodes without ranks (exactly
         // what the paper does when 7^k does not divide the node count).
-        let sim = FlowSim::default();
-        let current = TorusNetwork::bgq_partition(&[16, 4, 4, 4, 2]);
-        let proposed = TorusNetwork::bgq_partition(&[8, 8, 4, 4, 2]);
-        let run = |net: &TorusNetwork| {
+        let current = Fabric::from_torus(Torus::new(vec![16, 4, 4, 4, 2]), 2.0);
+        let proposed = Fabric::from_torus(Torus::new(vec![8, 8, 4, 4, 2]), 2.0);
+        let run = |net: &Fabric| {
             let ranks = 7 * 256; // 1792 ranks on 2048 nodes
             let mapping = RankMapping::new(
                 ranks,
@@ -207,7 +217,7 @@ mod tests {
                 "bfs-exchange",
                 collectives::group_counterpart_exchange(&mapping, 7, 0.01),
             );
-            run_program(net, &sim, &program).raw_comm_seconds
+            run_program(net, &program).raw_comm_seconds
         };
         let t_current = run(&current);
         let t_proposed = run(&proposed);

@@ -48,7 +48,6 @@ use netpart_engine::{
 };
 use netpart_topology::torus::Cuboid;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -60,7 +59,7 @@ pub const MAX_ADVICE_CANDIDATES: usize = 64;
 pub const MAX_RANDOM_SAMPLES: usize = 16;
 
 /// A candidate-allocation generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocationSpec {
     /// Every axis-aligned cuboid shape of the requested volume, anchored at
     /// the origin (torus fabrics only; via the isoperimetric cuboid
@@ -103,7 +102,7 @@ impl AllocationSpec {
 /// nodes in a candidate — `Fabric` carries no endpoint mask yet (ROADMAP
 /// open item); interpret such candidates as traffic endpoints, not
 /// schedulable compute sets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdviceSpec {
     /// The fabric.
     pub topology: TopologySpec,
@@ -133,7 +132,7 @@ impl AdviceSpec {
 }
 
 /// One scored candidate allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateResult {
     /// Candidate label, e.g. `block[4,2,2]` or `random(7)#1`.
     pub label: String,
@@ -158,7 +157,7 @@ pub struct CandidateResult {
 }
 
 /// Ranked advice for one [`AdviceSpec`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdviceResult {
     /// The spec's canonical label.
     pub label: String,

@@ -6,8 +6,9 @@ use crate::spec::{
     MAX_FLOWS, MAX_JOBS,
 };
 use netpart_engine::{
-    route_flows_csr, simulate_cluster_observed, Allocator, CompactAllocator, EngineError, Fabric,
-    Flow, FluidSim, Router, ScatterAllocator, SolverMode, Telemetry, TelemetryEvent,
+    pairing_flows, route_flows_csr, simulate_cluster_observed, Allocator, CompactAllocator,
+    EngineError, Fabric, Flow, FluidSim, Router, ScatterAllocator, SolverMode, Telemetry,
+    TelemetryEvent,
 };
 use netpart_machines::{known, BlueGeneQ};
 use netpart_sched::{generate_trace, SchedPolicy, TraceConfig};
@@ -15,7 +16,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Why a scenario could not run.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,7 +64,7 @@ fn invalid(message: impl Into<String>) -> ScenarioError {
 }
 
 /// Pattern-specific detail of a [`ScenarioResult`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioDetail {
     /// A static flow pattern run to completion.
     Flows {
@@ -100,7 +100,7 @@ pub enum ScenarioDetail {
 }
 
 /// Canonical outcome of one scenario, whatever its traffic pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// The spec's canonical label.
     pub label: String,
@@ -121,40 +121,6 @@ pub struct ScenarioResult {
     pub solves: usize,
     /// Pattern-specific detail.
     pub detail: ScenarioDetail,
-}
-
-/// The pairing partner of `v`: the torus antipode when the fabric is a
-/// torus, the index mirror otherwise (both cross every axis-aligned
-/// bisection of the families this crate generates).
-fn pairing_partner(fabric: &Fabric, v: usize) -> usize {
-    match fabric.torus() {
-        Some(torus) => torus.antipode(v),
-        None => fabric.num_nodes() - 1 - v,
-    }
-}
-
-/// Flows of one bisection-pairing round: each unordered pair exchanges
-/// `gigabytes` in both directions, enumerated exactly like the legacy
-/// `netsim::traffic` generator (ascending first endpoint, both directions
-/// per pair).
-fn pairing_flows(fabric: &Fabric, gigabytes: f64) -> Vec<Flow> {
-    let mut flows = Vec::with_capacity(fabric.num_nodes());
-    for a in 0..fabric.num_nodes() {
-        let b = pairing_partner(fabric, a);
-        if a < b {
-            flows.push(Flow {
-                src: a,
-                dst: b,
-                gigabytes,
-            });
-            flows.push(Flow {
-                src: b,
-                dst: a,
-                gigabytes,
-            });
-        }
-    }
-    flows
 }
 
 /// All ordered pairs of distinct nodes. The budget is checked *before* the

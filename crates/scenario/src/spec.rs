@@ -6,7 +6,7 @@
 //! combination the workspace can simulate is a value of this type — running
 //! a new workload is a data change, not a new binary.
 //!
-//! Specs are plain data: `Clone + PartialEq + serde` and cheap to build in
+//! Specs are plain data: `Clone + PartialEq` and cheap to build in
 //! bulk. [`build_fabric`] is the single place a spec becomes an engine
 //! [`Fabric`], including the service's resource budgets (moved here from
 //! `netpart-service` so every front end enforces the same limits).
@@ -15,7 +15,6 @@ use netpart_engine::{DimensionOrdered, Ecmp, Fabric, Router, ShortestPath, Valia
 use netpart_topology::{
     Circulant, Dragonfly, FatTree, GlobalArrangement, HyperX, Hypercube, SlimFly, Torus,
 };
-use serde::{Deserialize, Serialize};
 
 /// Upper bound on the nodes of a fabric built from a spec, so a single
 /// request cannot ask a service to materialize a million-node graph.
@@ -36,7 +35,7 @@ pub const MAX_JOBS: usize = 4096;
 /// `[k]` for fat-trees, `[groups, routers_per_group, nodes_per_router]` for
 /// dragonflies, `[q]` for Slim Flies, `[nodes, skip...]` for circulant
 /// expanders.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologySpec {
     /// A torus with the given extents.
     Torus(Vec<usize>),
@@ -257,7 +256,7 @@ pub fn build_fabric(spec: &TopologySpec) -> Result<Fabric, FabricError> {
 }
 
 /// Routing algorithm of a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingSpec {
     /// Dimension-ordered routing (torus fabrics only).
     DimensionOrdered,
@@ -298,7 +297,7 @@ impl RoutingSpec {
 }
 
 /// Allocator choice for job-trace traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocatorSpec {
     /// Breadth-first compact allocation (the locality-preserving baseline).
     Compact,
@@ -318,7 +317,7 @@ impl AllocatorSpec {
 
 /// Scheduling policy for scheduler-trace traffic, mirroring
 /// `netpart_sched::SchedPolicy`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
     /// Worst available bisection (adversarial size-only allocation).
     Worst,
@@ -342,12 +341,14 @@ impl PolicySpec {
 
 /// Traffic pattern of a scenario. Patterns that need an allocation or
 /// scheduling decision carry it inline, so a spec is always complete.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrafficSpec {
     /// The paper's bisection-pairing (ping-pong) benchmark: every node
     /// exchanges with its antipode (tori) or mirror node (other families)
-    /// for `rounds - warmup_rounds` measured rounds. One round is simulated
-    /// and scaled, exactly as the legacy `netsim` benchmark did.
+    /// for `rounds - warmup_rounds` measured rounds (traffic from
+    /// [`netpart_engine::pairing_flows`]). Rounds are unsynchronised in the
+    /// real benchmark but identical in the fluid model, so one round is
+    /// simulated and scaled.
     BisectionPairing {
         /// Total rounds, including warm-up.
         rounds: usize,
@@ -362,9 +363,8 @@ pub enum TrafficSpec {
         gigabytes: f64,
     },
     /// Every node sends along a pseudo-random permutation of the node set
-    /// (seeded by the spec seed). A node may map to itself, exactly as in
-    /// the historical `netsim` generator; such self-flows complete
-    /// instantly and carry no traffic.
+    /// (seeded by the spec seed). A node may map to itself; such
+    /// self-flows complete instantly and carry no traffic.
     RandomPermutation {
         /// Per-flow volume (GB).
         gigabytes: f64,
@@ -438,7 +438,7 @@ impl TrafficSpec {
 }
 
 /// One complete, runnable scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// The fabric.
     pub topology: TopologySpec,

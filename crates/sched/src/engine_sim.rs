@@ -1,9 +1,9 @@
 //! Event-driven scheduler simulation on the `netpart-engine` core.
 //!
-//! This is the discrete-event port of [`crate::simulator::simulate`]: job
-//! arrivals and completions are engine events instead of iterations of a
-//! bespoke replay loop. The handler body performs, at every event time,
-//! exactly the steps the legacy loop performs at every distinct event time —
+//! Job arrivals and completions are engine events instead of iterations of
+//! a bespoke replay loop. The handler body performs, at every event time,
+//! exactly the steps the legacy loop (kept as the reference model in
+//! `tests/stack_parity.rs`) performs at every distinct event time —
 //! complete everything due, admit everything due, then start queued jobs
 //! FCFS — so the two produce identical [`JobOutcome`]s and [`RunMetrics`]
 //! on identical inputs. Events at times the legacy loop never visits (e.g.
@@ -141,8 +141,7 @@ impl Component<SchedEvent> for EngineScheduler {
 /// Simulate a trace on a machine under a policy, event-driven.
 ///
 /// Jobs whose size is infeasible on the machine are skipped (they do not
-/// appear in the outcomes); everything else runs to completion. Produces the
-/// same metrics as [`crate::simulator::simulate`].
+/// appear in the outcomes); everything else runs to completion.
 pub fn simulate_events(machine: &BlueGeneQ, policy: SchedPolicy, trace: &[Job]) -> RunMetrics {
     let arrivals: VecDeque<Job> = trace
         .iter()

@@ -12,20 +12,20 @@
 //!   hints) with a contention-aware runtime model.
 //! * [`policy`] — geometry-oblivious, best-bisection and hint-aware
 //!   allocation policies.
-//! * [`simulator`] — FCFS discrete-event simulation and per-policy metrics
-//!   (wait, slowdown, contention penalty, utilization).
-//! * [`engine_sim`] — the same simulation expressed as a `netpart-engine`
-//!   component (identical outcomes, composable with other engine scenarios).
+//! * [`engine_sim`] — FCFS discrete-event simulation expressed as a
+//!   `netpart-engine` component (composable with other engine scenarios).
+//! * [`simulator`] — per-job outcomes, per-policy metrics (wait, slowdown,
+//!   contention penalty, utilization) and policy comparison.
 //!
 //! # Example
 //!
 //! ```
-//! use netpart_sched::{generate_trace, simulate, SchedPolicy, TraceConfig};
+//! use netpart_sched::{generate_trace, simulate_events, SchedPolicy, TraceConfig};
 //! use netpart_machines::known;
 //!
 //! let juqueen = known::juqueen();
 //! let trace = generate_trace(&TraceConfig::default_for(&juqueen, 30, 1));
-//! let metrics = simulate(&juqueen, SchedPolicy::HintAware { tolerance: 0.99 }, &trace);
+//! let metrics = simulate_events(&juqueen, SchedPolicy::HintAware { tolerance: 0.99 }, &trace);
 //! // Every contention-bound job received a geometry with optimal bisection.
 //! assert_eq!(metrics.outcomes.len(), 30);
 //! assert!(metrics.optimal_geometry_fraction() > 0.0);
@@ -42,5 +42,5 @@ pub mod trace;
 pub use engine_sim::simulate_events;
 pub use placement::{OccupancyGrid, Placement};
 pub use policy::SchedPolicy;
-pub use simulator::{compare_policies, simulate, JobOutcome, RunMetrics};
+pub use simulator::{compare_policies, JobOutcome, RunMetrics};
 pub use trace::{generate_trace, Job, TraceConfig};

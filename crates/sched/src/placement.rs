@@ -9,10 +9,9 @@
 //! axes.
 
 use netpart_machines::{BlueGeneQ, PartitionGeometry};
-use serde::{Deserialize, Serialize};
 
 /// A concrete placement of a partition inside the midplane grid.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// Anchor midplane coordinate (per machine axis).
     pub offset: [usize; 4],

@@ -9,10 +9,9 @@ use crate::placement::{OccupancyGrid, Placement};
 use crate::trace::Job;
 use netpart_alloc::scheduler::ContentionHint;
 use netpart_machines::{BlueGeneQ, PartitionGeometry};
-use serde::{Deserialize, Serialize};
 
 /// A scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedPolicy {
     /// Among the geometries that currently fit, allocate the one with the
     /// *smallest* internal bisection bandwidth — the adversarial end of what

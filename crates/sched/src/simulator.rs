@@ -1,4 +1,4 @@
-//! Scheduler-simulation metrics and the historical `simulate` entry point.
+//! Scheduler-simulation metrics and policy comparison.
 //!
 //! The simulator replays a job trace against one machine and one
 //! [`SchedPolicy`], tracking for every job when
@@ -8,20 +8,18 @@
 //! arrival order), which keeps policy comparisons about *geometry*, not about
 //! backfilling cleverness.
 //!
-//! Since PR 4 there is exactly one event loop in the workspace: the
-//! `netpart-engine`-based [`crate::engine_sim::simulate_events`]. The
-//! bespoke replay loop this module used to carry was proven bit-identical
-//! (see `tests/stack_parity.rs`, which keeps the old loop as an executable
-//! reference model) and then deleted; [`simulate`] is now a thin alias kept
-//! for the historical API.
+//! The replay itself is [`crate::engine_sim::simulate_events`], the one
+//! event loop in the workspace (`netpart-engine`). The bespoke replay loop
+//! this module used to carry was proven bit-identical and deleted;
+//! `tests/stack_parity.rs` keeps it as an executable reference model.
 
+use crate::engine_sim::simulate_events;
 use crate::policy::SchedPolicy;
 use crate::trace::Job;
 use netpart_machines::{BlueGeneQ, PartitionGeometry};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one job in a simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobOutcome {
     /// The job id from the trace.
     pub job_id: usize,
@@ -62,7 +60,7 @@ impl JobOutcome {
 }
 
 /// Aggregate metrics of a simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunMetrics {
     /// Policy label.
     pub policy: String,
@@ -119,17 +117,6 @@ fn average(values: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
-/// Simulate a trace on a machine under a policy.
-///
-/// Jobs whose size is infeasible on the machine are skipped (they do not
-/// appear in the outcomes); everything else runs to completion.
-///
-/// This is the engine-backed event simulation
-/// ([`crate::engine_sim::simulate_events`]) under its historical name.
-pub fn simulate(machine: &BlueGeneQ, policy: SchedPolicy, trace: &[Job]) -> RunMetrics {
-    crate::engine_sim::simulate_events(machine, policy, trace)
-}
-
 /// Run the same trace under several policies for side-by-side comparison.
 pub fn compare_policies(
     machine: &BlueGeneQ,
@@ -138,7 +125,7 @@ pub fn compare_policies(
 ) -> Vec<RunMetrics> {
     policies
         .iter()
-        .map(|&p| simulate(machine, p, trace))
+        .map(|&p| simulate_events(machine, p, trace))
         .collect()
 }
 
@@ -186,7 +173,7 @@ mod tests {
             SchedPolicy::BestAvailableBisection,
             SchedPolicy::HintAware { tolerance: 0.99 },
         ] {
-            let metrics = simulate(&juqueen, policy, &trace);
+            let metrics = simulate_events(&juqueen, policy, &trace);
             assert_eq!(metrics.outcomes.len(), trace.len(), "{}", policy.label());
             let mut ids: Vec<usize> = metrics.outcomes.iter().map(|o| o.job_id).collect();
             ids.sort_unstable();
@@ -241,8 +228,8 @@ mod tests {
         config.contention_bound_fraction = 1.0;
         config.mean_interarrival = 50.0;
         let trace = generate_trace(&config);
-        let first = simulate(&juqueen, SchedPolicy::WorstAvailableBisection, &trace);
-        let hint = simulate(&juqueen, SchedPolicy::HintAware { tolerance: 0.99 }, &trace);
+        let first = simulate_events(&juqueen, SchedPolicy::WorstAvailableBisection, &trace);
+        let hint = simulate_events(&juqueen, SchedPolicy::HintAware { tolerance: 0.99 }, &trace);
         // Strictly better geometries...
         assert!(hint.mean_contention_penalty() <= first.mean_contention_penalty());
         // ...generally at the cost of queueing (not asserted strictly — the
@@ -253,7 +240,7 @@ mod tests {
     #[test]
     fn deterministic_hand_trace_produces_expected_timeline() {
         let juqueen = known::juqueen();
-        let metrics = simulate(&juqueen, SchedPolicy::BestAvailableBisection, &hand_trace());
+        let metrics = simulate_events(&juqueen, SchedPolicy::BestAvailableBisection, &hand_trace());
         assert_eq!(metrics.outcomes.len(), 3);
         // Both 4-midplane jobs fit simultaneously (JUQUEEN has 56 midplanes),
         // both get the optimal 2x2x1x1 geometry, so both run 100 s.
@@ -280,7 +267,7 @@ mod tests {
             runtime_on_optimal: 100.0,
             hint: ContentionHint::ComputeBound,
         });
-        let metrics = simulate(&juqueen, SchedPolicy::WorstAvailableBisection, &trace);
+        let metrics = simulate_events(&juqueen, SchedPolicy::WorstAvailableBisection, &trace);
         assert_eq!(metrics.outcomes.len(), 3);
         assert!(metrics.outcomes.iter().all(|o| o.job_id != 3));
     }
@@ -288,7 +275,7 @@ mod tests {
     #[test]
     fn empty_trace_produces_empty_metrics() {
         let juqueen = known::juqueen();
-        let metrics = simulate(&juqueen, SchedPolicy::WorstAvailableBisection, &[]);
+        let metrics = simulate_events(&juqueen, SchedPolicy::WorstAvailableBisection, &[]);
         assert!(metrics.outcomes.is_empty());
         assert_eq!(metrics.makespan, 0.0);
         assert_eq!(metrics.mean_wait(), 0.0);

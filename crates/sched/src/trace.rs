@@ -10,10 +10,9 @@
 use netpart_alloc::scheduler::ContentionHint;
 use netpart_machines::BlueGeneQ;
 use rand::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One job submission.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Job {
     /// Unique job identifier (dense, assigned by the trace generator).
     pub id: usize,
@@ -41,7 +40,7 @@ impl Job {
 }
 
 /// Parameters of the synthetic trace generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Number of jobs to generate.
     pub num_jobs: usize,

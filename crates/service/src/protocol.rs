@@ -7,7 +7,6 @@
 //! typed [`Response::Error`], never a panic.
 
 use serde::json::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 // The scenario vocabulary is the protocol's type layer: the wire codec below
@@ -522,7 +521,7 @@ fn patch_from_value(v: &Value) -> Result<FabricPatch, ProtocolError> {
 }
 
 /// A kernel for [`Request::Advise`], mirroring `netpart_contention::Kernel`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum KernelSpec {
     /// Classical dense matmul of `n × n` matrices.
     ClassicalMatmul(u64),
@@ -580,7 +579,7 @@ impl KernelSpec {
 }
 
 /// One point-to-point flow of [`Request::SimulateFlows`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSpec {
     /// Source node.
     pub src: usize,
@@ -610,7 +609,7 @@ impl FlowSpec {
 
 /// A request line. Advice and analysis queries are deterministic and cached
 /// by the service; `Health`/`Stats`/`Shutdown` are control-plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Partition-geometry advice for a kernel of `size` midplanes on a named
     /// Blue Gene/Q machine (`mira`, `juqueen`, `sequoia`, …). Without an
@@ -944,7 +943,7 @@ impl Request {
 }
 
 /// Error categories of [`Response::Error`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The line was not valid JSON or not a known request shape.
     BadRequest,
@@ -976,7 +975,7 @@ impl ErrorCode {
 }
 
 /// Cache / latency / throughput counters of [`Response::Stats`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
     /// Seconds since the server started.
     pub uptime_seconds: f64,
@@ -1066,7 +1065,7 @@ fn kind_counts_from_value(parent: &Value, key: &str) -> Result<Vec<(String, u64)
 }
 
 /// One advice spec's line in a [`Response::AllocationSweepSummary`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdviceSweepLine {
     /// The spec's canonical label.
     pub label: String,
@@ -1129,7 +1128,7 @@ impl AdviceSweepLine {
 }
 
 /// One scenario's line in a [`Response::SweepSummary`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepLine {
     /// The spec's canonical label.
     pub label: String,
@@ -1189,7 +1188,7 @@ impl SweepLine {
 }
 
 /// A response line, mirroring the request kinds plus `ok` / `error`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Answer to [`Request::Advise`].
     Advice {

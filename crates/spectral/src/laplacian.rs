@@ -10,14 +10,13 @@
 
 use netpart_topology::Topology;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// A symmetric sparse matrix in compressed sparse row (CSR) form.
 ///
 /// Only the storage needed for matrix–vector products is kept: row offsets,
 /// column indices and values. Symmetry is by construction (both `(u, v)` and
 /// `(v, u)` entries are stored) and is relied upon by the eigensolver.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CsrMatrix {
     n: usize,
     row_offsets: Vec<usize>,

@@ -20,14 +20,13 @@
 //!   and communication separately.
 
 use crate::winograd::strassen_flops;
+use netpart_engine::{Fabric, Flow};
 use netpart_machines::PartitionGeometry;
-use netpart_mpi::{MappingStrategy, RankMapping};
-use netpart_netsim::flow::aggregate_flows;
-use netpart_netsim::{Flow, FlowSim, TorusNetwork};
-use serde::{Deserialize, Serialize};
+use netpart_mpi::{aggregate_flows, phase_seconds, MappingStrategy, RankMapping};
+use netpart_topology::Torus;
 
 /// Parameters of one CAPS execution (one row of Table 3 / Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapsConfig {
     /// Matrix dimension `n` (double-precision elements).
     pub matrix_dim: usize,
@@ -104,7 +103,7 @@ pub fn mira_table3_configs() -> Vec<(usize, CapsConfig)> {
 }
 
 /// Result of one simulated CAPS execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapsRunResult {
     /// Partition geometry the run used.
     pub geometry: PartitionGeometry,
@@ -155,7 +154,9 @@ pub fn bfs_step_flows(config: &CapsConfig, mapping: &RankMapping, level: u32) ->
     aggregate_flows(&flows)
 }
 
-/// Simulate a CAPS execution on a partition geometry.
+/// Simulate a CAPS execution on a partition geometry: each BFS step runs on
+/// the partition's torus fabric (2 GB/s per link and direction) under
+/// dimension-ordered routing (see [`phase_seconds`]).
 ///
 /// # Panics
 /// Panics if the rank count does not support the configured BFS steps or the
@@ -164,7 +165,6 @@ pub fn run_caps(
     config: &CapsConfig,
     geometry: &PartitionGeometry,
     strategy: MappingStrategy,
-    sim: &FlowSim,
 ) -> CapsRunResult {
     assert!(
         config.is_valid(),
@@ -172,22 +172,17 @@ pub fn run_caps(
         config.ranks,
         config.bfs_steps
     );
-    let network = TorusNetwork::bgq_partition(&geometry.node_dims());
+    let fabric = Fabric::from_torus(Torus::new(geometry.node_dims().to_vec()), 2.0);
     let mapping = RankMapping::new(
         config.ranks,
-        network.num_nodes(),
+        fabric.num_nodes(),
         config.max_ranks_per_node,
         strategy,
     );
     let mut per_step_seconds = Vec::with_capacity(config.bfs_steps as usize);
     for level in 0..config.bfs_steps {
         let flows = bfs_step_flows(config, &mapping, level);
-        let time = if flows.is_empty() {
-            0.0
-        } else {
-            sim.simulate(&network, &flows).makespan
-        };
-        per_step_seconds.push(time);
+        per_step_seconds.push(phase_seconds(&fabric, &flows));
     }
     CapsRunResult {
         geometry: *geometry,
@@ -265,18 +260,15 @@ mod tests {
     #[test]
     fn computation_time_is_geometry_independent() {
         let config = CapsConfig::new(2744, 343, 3, 4);
-        let sim = FlowSim::default();
         let a = run_caps(
             &config,
             &PartitionGeometry::new([2, 1, 1, 1]),
             MappingStrategy::Balanced,
-            &sim,
         );
         let b = run_caps(
             &config,
             &PartitionGeometry::new([2, 2, 1, 1]),
             MappingStrategy::Balanced,
-            &sim,
         );
         assert_eq!(a.computation_seconds, b.computation_seconds);
         assert!(a.computation_seconds > 0.0);
@@ -292,18 +284,15 @@ mod tests {
         // the paper's x1.37-x1.52; the full-scale run is exercised by the
         // fig5 binary and the ignored test below.)
         let config = CapsConfig::new(9604, 2401, 1, 2);
-        let sim = FlowSim::default();
         let current = run_caps(
             &config,
             &PartitionGeometry::new([4, 1, 1, 1]),
             MappingStrategy::Balanced,
-            &sim,
         );
         let proposed = run_caps(
             &config,
             &PartitionGeometry::new([2, 2, 1, 1]),
             MappingStrategy::Balanced,
-            &sim,
         );
         assert_eq!(current.per_step_seconds.len(), 1);
         let ratio = current.communication_seconds / proposed.communication_seconds;
@@ -351,18 +340,15 @@ mod tests {
     fn full_scale_four_midplane_ratio_matches_paper_band() {
         let (midplanes, config) = mira_table3_configs()[0];
         assert_eq!(midplanes, 4);
-        let sim = FlowSim::default();
         let current = run_caps(
             &config,
             &PartitionGeometry::new([4, 1, 1, 1]),
             MappingStrategy::Balanced,
-            &sim,
         );
         let proposed = run_caps(
             &config,
             &PartitionGeometry::new([2, 2, 1, 1]),
             MappingStrategy::Balanced,
-            &sim,
         );
         let ratio = current.communication_seconds / proposed.communication_seconds;
         assert!(
@@ -375,12 +361,10 @@ mod tests {
     #[should_panic(expected = "does not support")]
     fn invalid_rank_count_panics() {
         let config = CapsConfig::new(1000, 100, 2, 4);
-        let sim = FlowSim::default();
         let _ = run_caps(
             &config,
             &PartitionGeometry::new([1, 1, 1, 1]),
             MappingStrategy::Balanced,
-            &sim,
         );
     }
 }

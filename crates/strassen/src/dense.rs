@@ -8,10 +8,9 @@
 
 use rand::Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// A dense row-major `f64` matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -8,8 +8,8 @@
 //!   (sequential and rayon-parallel).
 //! * [`winograd`] — the shared-memory Strassen-Winograd recursion, used as a
 //!   correctness oracle and as the local-compute calibration kernel.
-//! * [`caps`] — the CAPS traffic/compute model executed on the network
-//!   simulator: BFS-step group exchanges, rank-count constraints (`f · 7^k`),
+//! * [`caps`] — the CAPS traffic/compute model executed on the engine's
+//!   flow simulator: BFS-step group exchanges, rank-count constraints (`f · 7^k`),
 //!   and the Table 3 experiment configurations.
 //! * [`scaling`] — the Table 4 / Figure 6 strong-scaling experiment.
 //!

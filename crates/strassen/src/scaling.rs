@@ -10,11 +10,9 @@
 use crate::caps::{run_caps, CapsConfig, CapsRunResult};
 use netpart_machines::PartitionGeometry;
 use netpart_mpi::MappingStrategy;
-use netpart_netsim::FlowSim;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 4: the configuration used at a given midplane count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingPoint {
     /// Partition size in midplanes.
     pub midplanes: usize,
@@ -53,7 +51,7 @@ pub fn mira_table4_plan() -> Vec<ScalingPoint> {
 
 /// Results for one midplane count: the same computation on the current and
 /// the proposed geometry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingResult {
     /// Partition size in midplanes.
     pub midplanes: usize,
@@ -64,22 +62,12 @@ pub struct ScalingResult {
 }
 
 /// Run the full strong-scaling sweep.
-pub fn run_strong_scaling(plan: &[ScalingPoint], sim: &FlowSim) -> Vec<ScalingResult> {
+pub fn run_strong_scaling(plan: &[ScalingPoint]) -> Vec<ScalingResult> {
     plan.iter()
         .map(|point| ScalingResult {
             midplanes: point.midplanes,
-            current: run_caps(
-                &point.config,
-                &point.current,
-                MappingStrategy::Balanced,
-                sim,
-            ),
-            proposed: run_caps(
-                &point.config,
-                &point.proposed,
-                MappingStrategy::Balanced,
-                sim,
-            ),
+            current: run_caps(&point.config, &point.current, MappingStrategy::Balanced),
+            proposed: run_caps(&point.config, &point.proposed, MappingStrategy::Balanced),
         })
         .collect()
 }
@@ -149,8 +137,7 @@ mod tests {
                 p
             })
             .collect();
-        let sim = FlowSim::default();
-        let results = run_strong_scaling(&plan, &sim);
+        let results = run_strong_scaling(&plan);
         let current_drop =
             results[0].current.communication_seconds / results[2].current.communication_seconds;
         let proposed_drop =
@@ -183,8 +170,7 @@ mod tests {
                 p
             })
             .collect();
-        let sim = FlowSim::default();
-        let results = run_strong_scaling(&plan, &sim);
+        let results = run_strong_scaling(&plan);
         let eff = communication_scaling_efficiency(&results, true);
         assert_eq!(eff.len(), 1);
         assert!((eff[0].1 - 1.0).abs() < 1e-12);

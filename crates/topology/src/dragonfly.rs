@@ -15,10 +15,9 @@
 
 use crate::coord::{coord_of, index_of};
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Global (inter-group) link arrangement schemes from Hastings et al.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GlobalArrangement {
     /// Router `r` of group `g` connects to groups in a fixed absolute order:
     /// consecutive global ports of a group connect to groups `0, 1, 2, ...`
@@ -33,7 +32,7 @@ pub enum GlobalArrangement {
 }
 
 /// A Dragonfly network with `K_rows x K_cols` groups.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dragonfly {
     groups: usize,
     rows: usize,

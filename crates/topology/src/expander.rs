@@ -11,11 +11,10 @@
 //! improve by re-shaping.
 
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 
 /// A circulant graph `C_n(S)`: vertex `v` is adjacent to `v ± s (mod n)` for
 /// every generator `s ∈ S`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Circulant {
     n: usize,
     generators: Vec<usize>,

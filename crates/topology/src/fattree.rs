@@ -11,17 +11,16 @@
 //! `k^3/4` hosts. All links have unit capacity.
 
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 
 /// A 3-level k-ary fat-tree. Node indices enumerate hosts first, then edge
 /// switches, then aggregation switches, then core switches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FatTree {
     k: usize,
 }
 
 /// The role of a node in the fat-tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FatTreeNode {
     /// A compute host attached to an edge switch.
     Host {

@@ -6,8 +6,6 @@
 //! flow-level network simulator (which needs stable per-link identifiers to
 //! accumulate load).
 
-use serde::{Deserialize, Serialize};
-
 /// Dense node identifier.
 pub type NodeId = usize;
 /// Dense link identifier (index into [`LinkGraph::links`]).
@@ -15,7 +13,7 @@ pub type LinkId = usize;
 
 /// Typed errors for link-graph lookups, so analysis sweeps can skip a bad
 /// query instead of aborting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphError {
     /// The queried node is not an endpoint of the link.
     NotAnEndpoint {
@@ -41,7 +39,7 @@ impl std::fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// An undirected link with a normalized capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// First endpoint (always `< v` when produced by [`crate::Topology::links`]).
     pub u: NodeId,
@@ -79,7 +77,7 @@ impl Link {
 }
 
 /// Compact undirected graph with link capacities and O(1) neighbor access.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkGraph {
     num_nodes: usize,
     links: Vec<Link>,

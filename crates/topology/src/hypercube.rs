@@ -7,10 +7,9 @@
 //! graph model.
 
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 
 /// The `d`-dimensional hypercube `Q_d` with `2^d` nodes and unit capacities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hypercube {
     dim: u32,
 }

@@ -9,10 +9,9 @@
 
 use crate::coord::{coord_of, index_of, volume};
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 
 /// A HyperX network `K_{a_1} x ... x K_{a_D}` with per-dimension capacities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HyperX {
     dims: Vec<usize>,
     capacities: Vec<f64>,

@@ -6,10 +6,9 @@
 
 use crate::coord::{coord_of, index_of, volume};
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 
 /// A `D`-dimensional mesh with per-dimension extents and unit link capacity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mesh {
     dims: Vec<usize>,
 }

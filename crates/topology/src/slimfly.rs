@@ -19,10 +19,9 @@
 //! the Slim Fly family introduced by Besta and Hoefler.
 
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 
 /// A Slim Fly (MMS) router graph for prime `q ≡ 1 (mod 4)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlimFly {
     q: usize,
     /// Generator set `X` (non-zero quadratic residues of `Z_q`).

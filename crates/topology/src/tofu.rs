@@ -10,14 +10,13 @@
 //! consumes (dimension lengths, cuboid cuts, bisection).
 
 use crate::{Topology, Torus};
-use serde::{Deserialize, Serialize};
 
 /// The fixed lengths of ToFu's local `A × B × C` dimensions.
 pub const TOFU_LOCAL_DIMS: [usize; 3] = [2, 3, 2];
 
 /// A ToFu network with system dimensions `X × Y × Z` and the fixed
 /// `2 × 3 × 2` local group per coordinate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tofu {
     system_dims: [usize; 3],
     torus: Torus,

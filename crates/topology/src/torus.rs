@@ -10,7 +10,6 @@
 
 use crate::coord::{coord_of, index_of, volume, wrap_displacement};
 use crate::Topology;
-use serde::{Deserialize, Serialize};
 
 /// A `D`-dimensional torus with arbitrary (per-dimension) extents.
 ///
@@ -20,20 +19,19 @@ use serde::{Deserialize, Serialize};
 /// physically distinct). This matches the real Blue Gene/Q hardware, where
 /// every node has 10 links, and it is the convention under which the
 /// Bollobás–Leader counting and the paper's Theorem 3.1 hold verbatim.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Torus {
     dims: Vec<usize>,
     /// Per-dimension link capacity (normalized). Defaults to 1.0 everywhere;
     /// weighted tori (e.g. Cray XK7-style 3-D tori with heterogeneous cables)
     /// can override individual dimensions.
-    #[serde(default)]
     capacities: Vec<f64>,
 }
 
 /// An axis-aligned cuboid subset of a torus, given by an origin corner and
 /// per-dimension extents. The cuboid wraps around dimensions where
 /// `origin[i] + extent[i] > dims[i]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cuboid {
     /// Lowest corner of the cuboid in each dimension.
     pub origin: Vec<usize>,

@@ -3,34 +3,29 @@
 //!
 //! Run with `cargo run --release --example pairing_simulation`.
 
+use netpart::core::experiments::bisection_pairing_experiment;
 use netpart::core::predict::PredictionCheck;
 use netpart::machines::PartitionGeometry;
-use netpart::netsim::{run_bisection_pairing, FlowSim, PingPongPlan, TorusNetwork};
 
 fn main() {
     let current = PartitionGeometry::new([4, 1, 1, 1]);
     let proposed = PartitionGeometry::new([2, 2, 1, 1]);
-    let sim = FlowSim::default();
-    let plan = PingPongPlan::paper_default();
+    let cases = [(4, "Current", current), (4, "Proposed", proposed)];
 
     println!("Bisection-pairing benchmark, 2048 nodes, 26 measured rounds of 2 GB per pair:\n");
-    let mut seconds = Vec::new();
-    for geometry in [current, proposed] {
-        let network = TorusNetwork::bgq_partition(&geometry.node_dims());
-        let result = run_bisection_pairing(&network, plan, &sim);
+    let measurements = bisection_pairing_experiment(&cases);
+    for m in &measurements {
         println!(
-            "  geometry {geometry}: {:>7.1} s  ({} bisection links)",
-            result.total_time,
-            geometry.bisection_links()
+            "  geometry {}: {:>7.1} s  ({} bisection links)",
+            m.geometry, m.seconds, m.bisection_links
         );
-        seconds.push(result.total_time);
     }
     let check = PredictionCheck::new(
         "bisection pairing, 4 midplanes",
         current,
         proposed,
-        seconds[0],
-        seconds[1],
+        measurements[0].seconds,
+        measurements[1].seconds,
     );
     println!(
         "\npredicted speedup x{:.2}, simulated x{:.2} (paper: predicted 2.00, measured 1.92)",

@@ -10,9 +10,8 @@
 //! | [`iso`] | edge-isoperimetric bounds, cuboid constructions, bisection, small-set expansion |
 //! | [`machines`] | Blue Gene/Q machines (Mira, JUQUEEN, Sequoia, hypothetical) and allocation policies |
 //! | [`alloc`] | partition-geometry optimization, the paper's tables and figures, scheduling advice |
-//! | [`engine`] | discrete-event simulation core, topology-generic fabrics, routers and flow/cluster scenarios |
+//! | [`engine`] | discrete-event simulation core, topology-generic fabrics, routers and flow/cluster scenarios (the only flow simulator, tori included) |
 //! | [`scenario`] | declarative scenario specs, the named registry and the parallel sweep runner |
-//! | [`netsim`] | torus-facing front end over the engine fabric (the historical simulator API) |
 //! | [`mpi`] | simulated ranks, task mappings, collectives and phase programs |
 //! | [`strassen`] | dense kernels, Strassen-Winograd, and the CAPS distributed execution model |
 //! | [`core`] | the high-level analysis / recommendation / experiment API |
@@ -44,7 +43,6 @@ pub use netpart_iso as iso;
 pub use netpart_kernels as kernels;
 pub use netpart_machines as machines;
 pub use netpart_mpi as mpi;
-pub use netpart_netsim as netsim;
 pub use netpart_scenario as scenario;
 pub use netpart_sched as sched;
 pub use netpart_service as service;

@@ -5,7 +5,6 @@
 use netpart::core::experiments::{bisection_pairing_experiment, pairing_speedups};
 use netpart::core::predict::PredictionCheck;
 use netpart::machines::PartitionGeometry;
-use netpart::netsim::PingPongPlan;
 
 #[test]
 fn pairing_experiment_matches_prediction_within_ten_percent() {
@@ -16,7 +15,7 @@ fn pairing_experiment_matches_prediction_within_ten_percent() {
         (8, "Current", PartitionGeometry::new([4, 2, 1, 1])),
         (8, "Proposed", PartitionGeometry::new([2, 2, 2, 1])),
     ];
-    let measurements = bisection_pairing_experiment(&cases, PingPongPlan::paper_default());
+    let measurements = bisection_pairing_experiment(&cases);
     for (midplanes, speedup) in pairing_speedups(&measurements, "Current", "Proposed") {
         let current = measurements
             .iter()
@@ -51,7 +50,7 @@ fn pairing_times_grow_with_partition_size_at_fixed_bisection() {
         (16usize, "Proposed", PartitionGeometry::new([2, 2, 2, 2])),
         (24, "Proposed", PartitionGeometry::new([3, 2, 2, 2])),
     ];
-    let measurements = bisection_pairing_experiment(&cases, PingPongPlan::paper_default());
+    let measurements = bisection_pairing_experiment(&cases);
     assert_eq!(
         measurements[0].bisection_links, measurements[1].bisection_links,
         "both geometries have 2048 links"

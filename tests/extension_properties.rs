@@ -112,18 +112,18 @@ proptest! {
             |dims| dims.iter().max().map(|&m| m % 2 == 0).unwrap_or(false),
         ),
     ) {
-        use netpart::netsim::{traffic, FlowSim, TorusNetwork};
-        let network = TorusNetwork::bgq_partition(&dims);
-        let sim = FlowSim::default();
-        let pairs = traffic::bisection_pairs(&network);
-        prop_assume!(!pairs.is_empty());
+        use netpart::engine::{pairing_flows, simulate_flows, DimensionOrdered, Fabric};
+        let fabric = Fabric::from_torus(Torus::new(dims.clone()), 2.0);
         let gigabytes = 0.1;
-        let flows = traffic::pairwise_exchange_flows(&pairs, gigabytes);
-        let makespan = sim.simulate(&network, &flows).makespan;
+        let flows = pairing_flows(&fabric, gigabytes);
+        prop_assume!(!flows.is_empty());
+        let makespan = simulate_flows(&fabric, &DimensionOrdered::default(), &flows)
+            .expect("torus routes every flow")
+            .makespan;
         // Every pair is antipodal in the longest dimension, so at least half
         // of the volume must cross the bisection in each direction.
         let bisection_links = torus_bisection_links(&dims) as f64;
-        let one_direction_volume = pairs.len() as f64 * gigabytes;
+        let one_direction_volume = (flows.len() / 2) as f64 * gigabytes;
         let lower = one_direction_volume / (bisection_links * 2.0);
         prop_assert!(makespan >= lower * (1.0 - 1e-9),
             "dims {:?}: makespan {} below bisection bound {}", dims, makespan, lower);

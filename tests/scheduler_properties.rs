@@ -7,7 +7,7 @@
 
 use netpart::machines::known;
 use netpart::machines::PartitionGeometry;
-use netpart::sched::{generate_trace, simulate, OccupancyGrid, SchedPolicy, TraceConfig};
+use netpart::sched::{generate_trace, simulate_events, OccupancyGrid, SchedPolicy, TraceConfig};
 use proptest::prelude::*;
 
 fn arbitrary_policy() -> impl Strategy<Value = SchedPolicy> {
@@ -38,7 +38,7 @@ proptest! {
         config.mean_interarrival = interarrival;
         config.contention_bound_fraction = bound_fraction;
         let trace = generate_trace(&config);
-        let metrics = simulate(&machine, policy, &trace);
+        let metrics = simulate_events(&machine, policy, &trace);
 
         prop_assert_eq!(metrics.outcomes.len(), trace.len());
         let mut ids: Vec<usize> = metrics.outcomes.iter().map(|o| o.job_id).collect();
@@ -70,7 +70,7 @@ proptest! {
         config.mean_interarrival = interarrival;
         config.contention_bound_fraction = 1.0;
         let trace = generate_trace(&config);
-        let metrics = simulate(&machine, SchedPolicy::HintAware { tolerance: 0.999 }, &trace);
+        let metrics = simulate_events(&machine, SchedPolicy::HintAware { tolerance: 0.999 }, &trace);
         for outcome in &metrics.outcomes {
             prop_assert_eq!(outcome.bisection_links, outcome.optimal_bisection_links);
             prop_assert!((outcome.runtime - outcome.runtime_on_optimal).abs() < 1e-9);
@@ -117,7 +117,7 @@ fn overload_does_not_oversubscribe_the_machine() {
     config.mean_interarrival = 10.0; // heavy overload
     config.mean_runtime = 5000.0;
     let trace = generate_trace(&config);
-    let metrics = simulate(&machine, SchedPolicy::BestAvailableBisection, &trace);
+    let metrics = simulate_events(&machine, SchedPolicy::BestAvailableBisection, &trace);
     assert_eq!(metrics.outcomes.len(), trace.len());
     assert!(metrics.utilization <= 1.0 + 1e-9);
     // Under heavy load the machine should be busy most of the time.

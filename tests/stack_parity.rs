@@ -1,26 +1,28 @@
 //! Parity regression guards for the engine consolidation.
 //!
-//! PR 4 collapsed the twin simulation stacks: `netpart_sched::simulate` and
-//! the `netpart_netsim` torus flow path now *delegate* to the engine event
-//! loop and fabric. These tests pin the delegation to the pre-consolidation
+//! The scheduler replay and the torus flow experiments run on the engine
+//! event loop and fabric. These tests pin them to the pre-consolidation
 //! semantics:
 //!
 //! * [`reference_simulate`] is a verbatim copy of the legacy FCFS replay
 //!   loop (the deleted `sched::simulator` body), kept here as an executable
 //!   model. Random traces across machines and policies must produce
 //!   bit-identical `JobOutcome`s and metrics through the engine path.
-//! * The torus flow path is compared flow-for-flow against a hand-driven
-//!   `Fabric` + `FluidSim` composition on random geometries and flow sets.
+//! * The event-driven torus flow simulation (`engine::simulate_flows`) is
+//!   compared flow-for-flow against a hand-driven `Fabric` + `FluidSim`
+//!   composition on random geometries and flow sets.
+//! * The bisection-pairing scenario is one simulated round scaled by the
+//!   measured-round count.
 //!
 //! Everything asserts *exact* equality — the consolidation is a refactor,
 //! not a remodel.
 
-use netpart::engine::{self, Fabric, FluidSim};
+use netpart::engine::{self, Fabric, Flow, FluidSim};
 use netpart::machines::{known, BlueGeneQ, PartitionGeometry};
-use netpart::netsim::{self, FlowSim, TorusNetwork};
+use netpart::scenario::{run_scenario, RoutingSpec, ScenarioSpec, TopologySpec, TrafficSpec};
 use netpart::sched::{
-    generate_trace, simulate, simulate_events, Job, JobOutcome, OccupancyGrid, Placement,
-    RunMetrics, SchedPolicy, TraceConfig,
+    generate_trace, simulate_events, Job, JobOutcome, OccupancyGrid, Placement, RunMetrics,
+    SchedPolicy, TraceConfig,
 };
 use netpart::topology::Torus;
 use proptest::prelude::*;
@@ -174,9 +176,7 @@ fn policy_by_index(i: usize) -> SchedPolicy {
 }
 
 /// A deterministic pseudo-random flow set over `n` nodes.
-fn flow_set(n: usize, count: usize, seed: u64) -> (Vec<netsim::Flow>, Vec<engine::Flow>) {
-    let mut legacy = Vec::with_capacity(count);
-    let mut fabric = Vec::with_capacity(count);
+fn flow_set(n: usize, count: usize, seed: u64) -> Vec<Flow> {
     let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
     let mut next = || {
         state ^= state << 13;
@@ -184,30 +184,20 @@ fn flow_set(n: usize, count: usize, seed: u64) -> (Vec<netsim::Flow>, Vec<engine
         state ^= state << 17;
         state
     };
-    for _ in 0..count {
-        let src = (next() % n as u64) as usize;
-        let dst = (next() % n as u64) as usize;
-        let gigabytes = 0.05 + (next() % 64) as f64 / 16.0;
-        legacy.push(netsim::Flow {
-            src,
-            dst,
-            gigabytes,
-        });
-        fabric.push(engine::Flow {
-            src,
-            dst,
-            gigabytes,
-        });
-    }
-    (legacy, fabric)
+    (0..count)
+        .map(|_| Flow {
+            src: (next() % n as u64) as usize,
+            dst: (next() % n as u64) as usize,
+            gigabytes: 0.05 + (next() % 64) as f64 / 16.0,
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random traces across machines and policies replay bit-identically
-    /// through the engine event loop (both via the thin `simulate` wrapper
-    /// and via `simulate_events` directly).
+    /// through the engine event loop.
     #[test]
     fn scheduler_delegation_matches_the_legacy_loop(
         machine_idx in 0usize..4,
@@ -224,12 +214,11 @@ proptest! {
         config.contention_bound_fraction = bound_fraction;
         let trace = generate_trace(&config);
         let reference = reference_simulate(&machine, policy, &trace);
-        assert_metrics_identical(&reference, &simulate(&machine, policy, &trace));
         assert_metrics_identical(&reference, &simulate_events(&machine, policy, &trace));
     }
 
-    /// The torus flow front end produces bit-identical outcomes to driving
-    /// the shared fluid core by hand over the equivalent `Fabric`.
+    /// The event-driven torus flow simulation produces bit-identical
+    /// outcomes to driving the fluid core by hand over the same `Fabric`.
     #[test]
     fn torus_flow_path_matches_hand_driven_fabric(
         dims in proptest::collection::vec(2usize..=6, 1..=4)
@@ -237,29 +226,29 @@ proptest! {
         count in 1usize..64,
         seed in 0u64..1_000_000,
     ) {
-        let network = TorusNetwork::bgq_partition(&dims);
         let fabric = Fabric::from_torus(Torus::new(dims.clone()), 2.0);
-        let (legacy_flows, fabric_flows) = flow_set(network.num_nodes(), count, seed);
-
-        let legacy = FlowSim::default().simulate(&network, &legacy_flows);
-
+        let flows = flow_set(fabric.num_nodes(), count, seed);
         let router = engine::DimensionOrdered::default();
-        let paths = engine::route_flows(&fabric, &router, &fabric_flows)
+
+        let event_driven = engine::simulate_flows(&fabric, &router, &flows)
             .expect("torus fabrics route everything");
-        let sizes: Vec<f64> = fabric_flows.iter().map(|f| f.gigabytes).collect();
+
+        let paths = engine::route_flows(&fabric, &router, &flows)
+            .expect("torus fabrics route everything");
+        let sizes: Vec<f64> = flows.iter().map(|f| f.gigabytes).collect();
         let mut fluid = FluidSim::new(&paths, fabric.capacities(), &sizes);
         fluid.run_to_completion();
         let direct = fluid.into_outcome();
 
-        prop_assert_eq!(legacy.makespan, direct.makespan);
-        prop_assert_eq!(legacy.completion, direct.completion);
-        prop_assert_eq!(legacy.channel_load_gb, direct.channel_load_gb);
-        prop_assert_eq!(legacy.bottleneck_lower_bound, direct.bottleneck_lower_bound);
-        prop_assert_eq!(legacy.rounds, direct.rounds);
+        prop_assert_eq!(event_driven.makespan, direct.makespan);
+        prop_assert_eq!(event_driven.completion, direct.completion);
+        prop_assert_eq!(event_driven.channel_load_gb, direct.channel_load_gb);
+        prop_assert_eq!(event_driven.bottleneck_lower_bound, direct.bottleneck_lower_bound);
+        prop_assert_eq!(event_driven.rounds, direct.rounds);
     }
 
-    /// The bisection-pairing benchmark is exactly "one simulated round
-    /// scaled by the measured-round count", whichever stack runs it.
+    /// The bisection-pairing scenario is exactly "one simulated round
+    /// scaled by the measured-round count".
     #[test]
     fn bisection_pairing_is_round_scaled(
         dims in proptest::collection::vec(2usize..=6, 1..=4)
@@ -267,22 +256,22 @@ proptest! {
         rounds in 5usize..40,
         gigabytes in 0.25f64..4.0,
     ) {
-        let network = TorusNetwork::bgq_partition(&dims);
-        let plan = netpart::netsim::PingPongPlan {
-            rounds,
-            warmup_rounds: 4,
-            round_gigabytes: gigabytes,
-            chunks: 16,
+        let spec = ScenarioSpec {
+            topology: TopologySpec::Torus(dims.clone()),
+            routing: RoutingSpec::DimensionOrdered,
+            traffic: TrafficSpec::BisectionPairing {
+                rounds,
+                warmup_rounds: 4,
+                round_gigabytes: gigabytes,
+            },
+            seed: 0,
         };
-        let result =
-            netpart::netsim::run_bisection_pairing(&network, plan, &FlowSim::default());
-        let pairs = netpart::netsim::bisection_pairs(&network);
-        let flows = netpart::netsim::pairwise_exchange_flows(&pairs, gigabytes);
-        let round = FlowSim::default().simulate(&network, &flows);
-        prop_assert_eq!(result.round_time, round.makespan);
-        prop_assert_eq!(
-            result.total_time,
-            round.makespan * plan.measured_rounds() as f64
-        );
+        let result = run_scenario(&spec).expect("pairing runs on every small torus");
+        let fabric = Fabric::from_torus(Torus::new(dims.clone()), 2.0);
+        let flows = engine::pairing_flows(&fabric, gigabytes);
+        let round = engine::simulate_flows(&fabric, &engine::DimensionOrdered::default(), &flows)
+            .expect("torus fabrics route everything");
+        prop_assert_eq!(result.units, flows.len());
+        prop_assert_eq!(result.makespan, round.makespan * (rounds - 4) as f64);
     }
 }
