@@ -144,11 +144,11 @@ mod tests {
 
     #[test]
     fn compute_only_program_has_no_comm() {
-        let net = Fabric::from_torus(Torus::new(vec![4, 4, 2]), 2.0);
+        let fabric = Fabric::from_torus(Torus::new(vec![4, 4, 2]), 2.0);
         let mut program = Program::new();
         program.push(ProgramPhase::compute("local", 1.5));
         program.push(ProgramPhase::compute("local2", 0.5));
-        let result = run_program(&net, &program);
+        let result = run_program(&fabric, &program);
         assert!((result.total_seconds - 2.0).abs() < 1e-12);
         assert_eq!(result.exposed_comm_seconds, 0.0);
         assert_eq!(result.raw_comm_seconds, 0.0);
@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn overlap_hides_the_shorter_component() {
-        let net = Fabric::from_torus(Torus::new(vec![8]), 2.0);
+        let fabric = Fabric::from_torus(Torus::new(vec![8]), 2.0);
         let flows = vec![Flow {
             src: 0,
             dst: 1,
@@ -169,7 +169,7 @@ mod tests {
             compute_seconds: 3.0,
             overlap: true,
         });
-        let overlapped = run_program(&net, &program);
+        let overlapped = run_program(&fabric, &program);
         assert!((overlapped.total_seconds - 3.0).abs() < 1e-9);
         assert!((overlapped.raw_comm_seconds - 1.0).abs() < 1e-9);
 
@@ -180,18 +180,18 @@ mod tests {
             compute_seconds: 3.0,
             overlap: false,
         });
-        let serial = run_program(&net, &serial);
+        let serial = run_program(&fabric, &serial);
         assert!((serial.total_seconds - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn collective_phases_accumulate_comm_time() {
-        let net = Fabric::from_torus(Torus::new(vec![4, 4, 4, 2]), 2.0);
-        let mapping = RankMapping::one_rank_per_node(net.num_nodes());
+        let fabric = Fabric::from_torus(Torus::new(vec![4, 4, 4, 2]), 2.0);
+        let mapping = RankMapping::one_rank_per_node(fabric.num_nodes());
         let mut program = Program::new();
         program.push_collective("allgather", collectives::ring_allgather(&mapping, 0.01));
-        let result = run_program(&net, &program);
-        assert_eq!(result.trace.len(), net.num_nodes() - 1);
+        let result = run_program(&fabric, &program);
+        assert_eq!(result.trace.len(), fabric.num_nodes() - 1);
         assert!(result.raw_comm_seconds > 0.0);
         assert!((result.total_seconds - result.raw_comm_seconds).abs() < 1e-9);
     }
@@ -204,11 +204,11 @@ mod tests {
         // what the paper does when 7^k does not divide the node count).
         let current = Fabric::from_torus(Torus::new(vec![16, 4, 4, 4, 2]), 2.0);
         let proposed = Fabric::from_torus(Torus::new(vec![8, 8, 4, 4, 2]), 2.0);
-        let run = |net: &Fabric| {
+        let run = |fabric: &Fabric| {
             let ranks = 7 * 256; // 1792 ranks on 2048 nodes
             let mapping = RankMapping::new(
                 ranks,
-                net.num_nodes(),
+                fabric.num_nodes(),
                 1,
                 crate::mapping::MappingStrategy::Linear,
             );
@@ -217,7 +217,7 @@ mod tests {
                 "bfs-exchange",
                 collectives::group_counterpart_exchange(&mapping, 7, 0.01),
             );
-            run_program(net, &program).raw_comm_seconds
+            run_program(fabric, &program).raw_comm_seconds
         };
         let t_current = run(&current);
         let t_proposed = run(&proposed);
