@@ -15,6 +15,10 @@
 //! the links they share. Comparing the penalty across allocators on the same
 //! stream quantifies how much of the contention a better allocation avoids.
 //!
+//! The job's own flows come first in the evaluated set and the fluid run
+//! stops once they are done ([`FluidSim::run_until_first_done`]): later
+//! rounds only drain the neighbours' traffic, which the penalty never reads.
+//!
 //! Arrivals, allocation decisions and completions all flow through the
 //! discrete-event [`Simulation`], so the scenario composes with any other
 //! engine component.
@@ -354,7 +358,7 @@ impl ClusterScheduler {
             self.fabric.capacities(),
             &self.sizes_buf,
         );
-        self.fluid.run_to_completion();
+        self.fluid.run_until_first_done(own.len());
         let own_done = self.fluid.completion_times()[..own.len()]
             .iter()
             .fold(0.0f64, |a, &b| a.max(b));

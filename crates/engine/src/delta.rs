@@ -3,9 +3,9 @@
 //!
 //! The advice sweep scores dozens to hundreds of candidate allocations whose
 //! all-to-all exchanges share most of their flows. Re-arming a
-//! [`FluidSim`](crate::FluidSim) per candidate costs O(fabric) every time
-//! (capacity copy, channel-load rebuild, solver re-seed), even when two
-//! consecutive candidates differ in a handful of node pairs.
+//! [`FluidSim`](crate::FluidSim) per candidate rebuilds and re-solves the
+//! whole set every time (set-local view, channel loads, solver re-seed),
+//! even when two consecutive candidates differ in a handful of node pairs.
 //! [`DeltaFluidScorer`] keeps one session alive across flow sets: each set
 //! is presented as keyed flows and only the symmetric difference against
 //! the previous set is inspected. The session then picks the cheapest
@@ -34,17 +34,18 @@
 //! values whatever the order. The only order-sensitive piece of the kernel
 //! is the bottleneck tie-break on *channel* ids — preserved here exactly as
 //! in [`IncrementalMaxMin`]'s repair: local channels are densely remapped in
-//! ascending id order. The first round's rates come from the armed session
-//! (bit-identical to batch by construction, shadow-checked in debug builds)
-//! or from the batch kernel itself on the local subproblem; later rounds
-//! replay [`FluidSim::advance_round`](crate::FluidSim::advance_round)'s
-//! exact arithmetic — the same `f64::min` time fold, the same
-//! `> 2000`-flows completion lookahead, the same retirement epsilon — over
-//! the local subproblem. `tests/advice_delta_parity.rs` pins the
-//! equivalence across random fabrics, candidate lists and thread caps.
+//! ascending id order, by the same helper `FluidSim` builds its view with.
+//! The first round's rates come from the armed session (bit-identical to
+//! batch by construction, shadow-checked in debug builds) or from the batch
+//! kernel itself on the local subproblem; every round then advances the
+//! clock and retires flows through the fluid core's own round step, the one
+//! [`FluidSim::advance_round`](crate::FluidSim::advance_round) runs.
+//! `tests/advice_delta_parity.rs` pins the equivalence across random
+//! fabrics, candidate lists and thread caps.
 
+use crate::fluid::complete_round;
 use crate::incremental::IncrementalMaxMin;
-use crate::maxmin::{max_min_rates_csr, ChannelId, MaxMinScratch};
+use crate::maxmin::{max_min_rates_csr, ChannelId, LocalChannels, MaxMinScratch};
 use netpart_telemetry::{Telemetry, TelemetryEvent};
 use std::collections::HashMap;
 
@@ -104,12 +105,8 @@ pub struct DeltaFluidScorer {
     session_next: Vec<(u64, usize)>,
     /// Makespan and rounds of the last solved set — the zero-diff answer.
     last_score: Option<(f64, usize)>,
-    /// Dense local channel remap, indexed by fabric channel id; entries are
-    /// only valid for the channels of the set being scored.
-    chan_dense: Vec<ChannelId>,
     // Per-set local subproblem buffers, reused across sets.
-    local_chans: Vec<ChannelId>,
-    caps_local: Vec<f64>,
+    channels: LocalChannels,
     offsets: Vec<usize>,
     data: Vec<ChannelId>,
     sizes: Vec<f64>,
@@ -133,9 +130,7 @@ impl DeltaFluidScorer {
             session: Vec::new(),
             session_next: Vec::new(),
             last_score: None,
-            chan_dense: vec![0; capacities.len()],
-            local_chans: Vec::new(),
-            caps_local: Vec::new(),
+            channels: LocalChannels::default(),
             offsets: Vec::new(),
             data: Vec::new(),
             sizes: Vec::new(),
@@ -246,26 +241,20 @@ impl DeltaFluidScorer {
         self.current.extend(flows.iter().map(|f| f.key));
 
         // --- Build the set-local dense subproblem. ---
-        self.local_chans.clear();
+        self.channels.clear(self.capacities.len());
         for f in flows {
-            self.local_chans.extend_from_slice(f.path);
+            for &c in f.path {
+                self.channels.touch(c);
+            }
         }
-        self.local_chans.sort_unstable();
-        self.local_chans.dedup();
-        self.caps_local.clear();
-        for (dense, &c) in self.local_chans.iter().enumerate() {
-            self.chan_dense[c as usize] = dense as ChannelId;
-            self.caps_local.push(self.capacities[c as usize]);
-        }
+        self.channels.number(&self.capacities);
         self.offsets.clear();
         self.data.clear();
         self.sizes.clear();
         self.active.clear();
         self.offsets.push(0);
         for (i, f) in flows.iter().enumerate() {
-            for &c in f.path {
-                self.data.push(self.chan_dense[c as usize]);
-            }
+            self.channels.push_path(f.path, &mut self.data);
             self.offsets.push(self.data.len());
             self.sizes.push(f.gigabytes);
             if !f.path.is_empty() {
@@ -304,58 +293,29 @@ impl DeltaFluidScorer {
                 &self.active,
                 &self.offsets,
                 &self.data,
-                &self.caps_local,
+                &self.channels.capacities,
                 &mut self.scratch,
                 &mut self.rates,
             );
         }
 
-        // --- Completion rounds: FluidSim::advance_round's exact arithmetic
-        // on the local subproblem. ---
+        // --- Completion rounds on the local subproblem. ---
         self.remaining.clear();
         self.remaining.extend_from_slice(&self.sizes);
         let mut time = 0.0f64;
         let mut rounds = 1usize;
         loop {
-            let dt = self
-                .active
-                .iter()
-                .map(|&i| self.remaining[i] / self.rates[i])
-                .fold(f64::INFINITY, f64::min);
-            assert!(
-                dt.is_finite() && dt > 0.0,
-                "simulation failed to make progress"
-            );
-            // The fluid core's near-simultaneous completion lookahead for
-            // very large flow sets; replicated so the delta path retires the
-            // same flows per round as a fresh simulation would.
-            let dt = if self.active.len() > 2000 {
-                dt * 1.05
-            } else {
-                dt
-            };
-            time += dt;
-            let mut kept = 0usize;
             let mut retired = 0usize;
-            for idx in 0..self.active.len() {
-                let i = self.active[idx];
-                self.remaining[i] -= self.rates[i] * dt;
-                if self.remaining[i] <= 1e-9 * self.sizes[i].max(1e-9) {
-                    self.remaining[i] = 0.0;
-                    retired += 1;
-                } else {
-                    self.active[kept] = i;
-                    kept += 1;
-                }
-            }
-            assert!(
-                kept < self.active.len(),
-                "simulation failed to make progress"
+            time += complete_round(
+                &mut self.active,
+                &mut self.remaining,
+                &self.rates,
+                &self.sizes,
+                |_| retired += 1,
             );
-            self.active.truncate(kept);
             self.telemetry.emit(TelemetryEvent::SolverRound {
                 round: rounds as u64,
-                active_flows: kept as u64,
+                active_flows: self.active.len() as u64,
                 retired: retired as u64,
             });
             if self.active.is_empty() {
@@ -366,7 +326,7 @@ impl DeltaFluidScorer {
                 &self.active,
                 &self.offsets,
                 &self.data,
-                &self.caps_local,
+                &self.channels.capacities,
                 &mut self.scratch,
                 &mut self.rates,
             );

@@ -2,13 +2,18 @@
 //!
 //! [`FluidSim`] advances a set of fluid flows over capacitated channels from
 //! one completion round to the next, recomputing max–min fair rates in
-//! between. It is deliberately driver agnostic: [`FluidSim::run_to_completion`]
-//! runs it in a plain loop, and this crate's [`flowsim`](crate::flowsim)
+//! between. It holds only the set-local view of its flow set: the channels
+//! its paths touch, renumbered densely in ascending fabric order, so every
+//! round costs the flows' own channels rather than the fabric's, with
+//! results bit-identical to a solve over every channel. It is deliberately
+//! driver agnostic: [`FluidSim::run_to_completion`] runs it in a plain
+//! loop, [`FluidSim::run_until_first_done`] stops once a prefix of the
+//! flows has finished, and this crate's [`flowsim`](crate::flowsim)
 //! scenario drives the *same* state machine through the event queue — so
-//! the two produce bit-identical results on identical inputs.
+//! all three produce bit-identical completion times on identical inputs.
 
 use crate::incremental::{IncrementalMaxMin, SolverMode};
-use crate::maxmin::{max_min_rates_csr, ChannelId, MaxMinScratch};
+use crate::maxmin::{max_min_rates_csr, ChannelId, LocalChannels, MaxMinScratch};
 use netpart_telemetry::{Telemetry, TelemetryEvent};
 
 /// Result of running a [`FluidSim`] to completion.
@@ -36,19 +41,6 @@ impl FluidOutcome {
             self.completion.iter().sum::<f64>() / self.completion.len() as f64
         }
     }
-
-    /// The most heavily loaded channel's utilization over the makespan
-    /// (1.0 = busy the whole time), given per-channel capacities (GB/s).
-    pub fn peak_utilization(&self, capacities: &[f64]) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        self.channel_load_gb
-            .iter()
-            .zip(capacities)
-            .map(|(gb, cap)| gb / cap / self.makespan)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// A resumable fluid simulation over routed flows.
@@ -57,13 +49,14 @@ impl FluidOutcome {
 /// and per-flow volumes (GB); then either run it with
 /// [`run_to_completion`](FluidSim::run_to_completion) or step one completion
 /// round at a time with [`advance_round`](FluidSim::advance_round).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FluidSim {
-    /// Per-flow channel paths, CSR-packed: flow `i` traverses
-    /// `path_data[path_offsets[i]..path_offsets[i + 1]]`.
+    /// Per-flow channel paths in local channel ids, CSR-packed: flow `i`
+    /// traverses `path_data[path_offsets[i]..path_offsets[i + 1]]`.
     path_offsets: Vec<usize>,
     path_data: Vec<ChannelId>,
-    capacities: Vec<f64>,
+    /// The touched channels and their capacities (the set-local view).
+    channels: LocalChannels,
     sizes: Vec<f64>,
     remaining: Vec<f64>,
     completion: Vec<f64>,
@@ -99,14 +92,13 @@ impl FluidSim {
         let mut sim = Self::empty();
         sim.path_offsets.reserve(paths.len() + 1);
         sim.path_offsets.push(0);
-        sim.path_data.reserve(paths.iter().map(Vec::len).sum());
+        let mut path_data = Vec::with_capacity(paths.iter().map(Vec::len).sum());
         for path in paths {
-            sim.path_data.extend_from_slice(path);
-            sim.path_offsets.push(sim.path_data.len());
+            path_data.extend_from_slice(path);
+            sim.path_offsets.push(path_data.len());
         }
-        sim.capacities.extend_from_slice(capacities);
         sim.sizes.extend_from_slice(gigabytes);
-        sim.rebuild();
+        sim.rebuild(&path_data, capacities);
         sim
     }
 
@@ -114,25 +106,7 @@ impl FluidSim {
     /// [`reset_csr`](FluidSim::reset_csr) to score many flow sets without
     /// re-allocating per set.
     pub fn empty() -> Self {
-        Self {
-            path_offsets: Vec::new(),
-            path_data: Vec::new(),
-            capacities: Vec::new(),
-            sizes: Vec::new(),
-            remaining: Vec::new(),
-            completion: Vec::new(),
-            active: Vec::new(),
-            rates: Vec::new(),
-            time: 0.0,
-            rounds: 0,
-            channel_load_gb: Vec::new(),
-            bottleneck_lower_bound: 0.0,
-            scratch: MaxMinScratch::new(),
-            solver_mode: SolverMode::Batch,
-            incremental: None,
-            retired_buf: Vec::new(),
-            telemetry: Telemetry::disabled(),
-        }
+        Self::default()
     }
 
     /// Like [`empty`](FluidSim::empty), but with the given solver mode. Both
@@ -156,9 +130,7 @@ impl FluidSim {
     /// [`reset_csr`](FluidSim::reset_csr).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-        if let Some(inc) = self.incremental.as_mut() {
-            inc.set_telemetry(self.telemetry.clone());
-        }
+        self.forward_telemetry();
     }
 
     /// Switch solver mode; safe at any point (mid-run included) — the
@@ -180,7 +152,7 @@ impl FluidSim {
             .incremental
             .get_or_insert_with(|| IncrementalMaxMin::new(&[]));
         inc.set_telemetry(self.telemetry.clone());
-        inc.reset(&self.capacities);
+        inc.reset(&self.channels.capacities);
         for &i in &self.active {
             inc.insert_flow(
                 i,
@@ -208,23 +180,19 @@ impl FluidSim {
     ) {
         self.path_offsets.clear();
         self.path_offsets.extend_from_slice(path_offsets);
-        self.path_data.clear();
-        self.path_data.extend_from_slice(path_data);
-        self.capacities.clear();
-        self.capacities.extend_from_slice(capacities);
         self.sizes.clear();
         self.sizes.extend_from_slice(gigabytes);
-        self.rebuild();
+        self.rebuild(path_data, capacities);
     }
 
-    /// Validate the CSR invariants and recompute every piece of derived
-    /// state (channel loads, bottleneck bound, remaining volumes, active
-    /// set, clock) from `path_offsets` / `path_data` / `capacities` /
-    /// `sizes` — the single initialization shared by [`FluidSim::new`] and
-    /// [`FluidSim::reset_csr`].
-    fn rebuild(&mut self) {
+    /// Validate the CSR invariants, store `path_data` renumbered into the
+    /// set-local view over `capacities`, and recompute every piece of
+    /// derived state (channel loads, bottleneck bound, remaining volumes,
+    /// active set, clock) — the single initialization shared by
+    /// [`FluidSim::new`] and [`FluidSim::reset_csr`].
+    fn rebuild(&mut self, path_data: &[ChannelId], capacities: &[f64]) {
         let _span = self.telemetry.span("csr_build");
-        let n_channels = self.capacities.len();
+        let n_channels = capacities.len();
         let n_flows = self.sizes.len();
         assert_eq!(self.path_offsets.len(), n_flows + 1, "one path per flow");
         assert_eq!(
@@ -234,27 +202,44 @@ impl FluidSim {
         );
         assert_eq!(
             self.path_offsets.last().copied(),
-            Some(self.path_data.len()),
+            Some(path_data.len()),
             "offsets must span the path data"
         );
+        // Path-entry pass: validate and sum the channel loads. Loaded
+        // channels are the touched ones, except those only zero-volume
+        // flows cross: touch those explicitly.
         self.channel_load_gb.clear();
         self.channel_load_gb.resize(n_channels, 0.0);
+        self.channels.clear(n_channels);
         for (i, gb) in self.sizes.iter().enumerate() {
             assert!(*gb >= 0.0, "negative message size");
-            for &c in &self.path_data[self.path_offsets[i]..self.path_offsets[i + 1]] {
+            let path = &path_data[self.path_offsets[i]..self.path_offsets[i + 1]];
+            for &c in path {
                 assert!(
                     (c as usize) < n_channels,
                     "channel {c} out of range 0..{n_channels}"
                 );
                 self.channel_load_gb[c as usize] += gb;
             }
+            if *gb == 0.0 {
+                for &c in path {
+                    self.channels.touch(c);
+                }
+            }
         }
-        self.bottleneck_lower_bound = self
-            .channel_load_gb
-            .iter()
-            .zip(&self.capacities)
-            .map(|(gb, cap)| gb / cap)
-            .fold(0.0, f64::max);
+        // Channel pass: number the touched channels and take the bound over
+        // the loaded ones (any other `0 / cap` is 0 or NaN: `max` drops it).
+        let (loads, mut bound) = (&self.channel_load_gb, 0.0f64);
+        self.channels.number_by_scan(capacities, |c| {
+            let loaded = loads[c] > 0.0;
+            if loaded {
+                bound = bound.max(loads[c] / capacities[c]);
+            }
+            loaded
+        });
+        self.bottleneck_lower_bound = bound;
+        self.path_data.clear();
+        self.channels.push_path(path_data, &mut self.path_data);
         self.remaining.clear();
         self.remaining.extend_from_slice(&self.sizes);
         self.completion.clear();
@@ -299,15 +284,6 @@ impl FluidSim {
         &self.completion
     }
 
-    /// Mean flow completion time (seconds); 0 for an empty flow set.
-    pub fn mean_completion_time(&self) -> f64 {
-        if self.completion.is_empty() {
-            0.0
-        } else {
-            self.completion.iter().sum::<f64>() / self.completion.len() as f64
-        }
-    }
-
     /// The lower bound `max_channel load / bandwidth` (seconds) of the
     /// current flow set.
     pub fn bottleneck_lower_bound(&self) -> f64 {
@@ -331,7 +307,7 @@ impl FluidSim {
                 &self.active,
                 &self.path_offsets,
                 &self.path_data,
-                &self.capacities,
+                &self.channels.capacities,
                 &mut self.scratch,
                 &mut self.rates,
             ),
@@ -350,84 +326,65 @@ impl FluidSim {
                 }
             }
         }
-        // Advance to the earliest completion among active flows.
-        let dt = self
-            .active
-            .iter()
-            .map(|&i| self.remaining[i] / self.rates[i])
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            dt.is_finite() && dt > 0.0,
-            "simulation failed to make progress"
+        let retired = &mut self.retired_buf;
+        retired.clear();
+        let dt = complete_round(
+            &mut self.active,
+            &mut self.remaining,
+            &self.rates,
+            &self.sizes,
+            |i| retired.push(i),
         );
-        // For very large flow sets, heterogeneous volumes would otherwise
-        // force one rate recomputation per distinct completion time. A 5%
-        // lookahead batches near-simultaneous completions; the makespan
-        // error is bounded by that lookahead and only applies to runs far
-        // beyond the exactness-sensitive unit-test scale.
-        let dt = if self.active.len() > 2000 {
-            dt * 1.05
-        } else {
-            dt
-        };
         self.time += dt;
-        // Retire completed flows by compacting `active` in place (order
-        // preserved, no per-round allocation).
-        let mut kept = 0usize;
-        self.retired_buf.clear();
-        for idx in 0..self.active.len() {
-            let i = self.active[idx];
-            self.remaining[i] -= self.rates[i] * dt;
-            // Tolerate floating-point residue when deciding completion;
-            // this also batches completions that tie up to rounding, so
-            // they do not each force a rate recomputation.
-            if self.remaining[i] <= 1e-9 * self.sizes[i].max(1e-9) {
-                self.remaining[i] = 0.0;
-                self.completion[i] = self.time;
-                self.retired_buf.push(i);
-            } else {
-                self.active[kept] = i;
-                kept += 1;
-            }
+        for &i in &self.retired_buf {
+            self.completion[i] = self.time;
         }
         if let Some(inc) = self.incremental.as_mut() {
             inc.remove_flows(&self.retired_buf);
         }
-        assert!(
-            kept < self.active.len(),
-            "simulation failed to make progress"
-        );
-        self.active.truncate(kept);
         self.telemetry.emit(TelemetryEvent::SolverRound {
             round: self.rounds as u64,
-            active_flows: kept as u64,
+            active_flows: self.active.len() as u64,
             retired: self.retired_buf.len() as u64,
         });
         Some(self.time)
     }
 
-    /// Run every remaining round.
-    ///
-    /// When the telemetry handle records to a ring, the whole loop is
-    /// wrapped in a `fluid_solve` span and the handle is swapped for the
-    /// span's for the duration, so the incremental solver's repair spans
-    /// nest under it.
+    /// Run every remaining round ([`FluidSim::run_until_first_done`], all flows).
     pub fn run_to_completion(&mut self) {
-        if !self.telemetry.has_ring() {
-            while self.advance_round().is_some() {}
-            return;
+        self.run_until_first_done(self.sizes.len());
+    }
+
+    /// Run rounds until flows `0..k` have completed (`active` stays
+    /// ascending, so until its first entry is `>= k`); later flows may still
+    /// be in flight. Their completion times equal a full run's, bit for bit.
+    ///
+    /// With a ring attached, the loop runs inside a `fluid_solve` span whose
+    /// handle the incremental solver also gets, so its repair spans nest
+    /// under it.
+    pub fn run_until_first_done(&mut self, k: usize) {
+        let mut traced = None;
+        if self.telemetry.has_ring() {
+            let span = self.telemetry.span("fluid_solve");
+            let outer = std::mem::replace(&mut self.telemetry, span.telemetry().clone());
+            self.forward_telemetry();
+            traced = Some((span, outer));
         }
-        let span = self.telemetry.span("fluid_solve");
-        let outer = std::mem::replace(&mut self.telemetry, span.telemetry().clone());
+        while self.active.first().is_some_and(|&i| i < k) {
+            self.advance_round();
+        }
+        if let Some((span, outer)) = traced {
+            self.telemetry = outer;
+            self.forward_telemetry();
+            drop(span);
+        }
+    }
+
+    /// Hand the current telemetry handle to the incremental solver.
+    fn forward_telemetry(&mut self) {
         if let Some(inc) = self.incremental.as_mut() {
             inc.set_telemetry(self.telemetry.clone());
         }
-        while self.advance_round().is_some() {}
-        self.telemetry = outer;
-        if let Some(inc) = self.incremental.as_mut() {
-            inc.set_telemetry(self.telemetry.clone());
-        }
-        drop(span);
     }
 
     /// Consume the simulation and return its outcome.
@@ -444,6 +401,54 @@ impl FluidSim {
             rounds: self.rounds,
         }
     }
+}
+
+/// One completion round's arithmetic, shared by [`FluidSim::advance_round`]
+/// and the delta scorer: step to the earliest completion among `active`,
+/// drain every active flow at its rate, compact `active` in place (order
+/// kept) and hand each finished flow to `retire`. Returns the step.
+///
+/// # Panics
+/// Panics if floating-point degeneracy prevents progress.
+pub(crate) fn complete_round(
+    active: &mut Vec<usize>,
+    remaining: &mut [f64],
+    rates: &[f64],
+    sizes: &[f64],
+    mut retire: impl FnMut(usize),
+) -> f64 {
+    let dt = active
+        .iter()
+        .map(|&i| remaining[i] / rates[i])
+        .fold(f64::INFINITY, f64::min);
+    assert!(
+        dt.is_finite() && dt > 0.0,
+        "simulation failed to make progress"
+    );
+    // For very large flow sets, heterogeneous volumes would otherwise force
+    // one rate recomputation per distinct completion time. A 5% lookahead
+    // batches near-simultaneous completions; the makespan error is bounded
+    // by that lookahead and only applies to runs far beyond the
+    // exactness-sensitive unit-test scale.
+    let dt = if active.len() > 2000 { dt * 1.05 } else { dt };
+    let mut kept = 0usize;
+    for idx in 0..active.len() {
+        let i = active[idx];
+        remaining[i] -= rates[i] * dt;
+        // Tolerate floating-point residue when deciding completion; this
+        // also batches completions that tie up to rounding, so they do not
+        // each force a rate recomputation.
+        if remaining[i] <= 1e-9 * sizes[i].max(1e-9) {
+            remaining[i] = 0.0;
+            retire(i);
+        } else {
+            active[kept] = i;
+            kept += 1;
+        }
+    }
+    assert!(kept < active.len(), "simulation failed to make progress");
+    active.truncate(kept);
+    dt
 }
 
 #[cfg(test)]
@@ -568,6 +573,58 @@ mod tests {
             counters.solver_repairs + counters.solver_full_solves >= 1,
             "every dirty solve must be observed: {counters:?}"
         );
+    }
+
+    #[test]
+    fn early_stop_records_the_same_span_tree_as_a_full_run() {
+        use netpart_telemetry::trace::snapshot;
+        use netpart_telemetry::{RingReader, TraceForest};
+
+        // Flows 0 and 1 finish well before the two long flows behind them.
+        let offsets = [0usize, 1, 2, 5, 6];
+        let data: [ChannelId; 6] = [0, 1, 0, 1, 2, 2];
+        let (caps, sizes) = ([1.0, 1.0, 1.0], [1.0, 1.0, 5.0, 5.0]);
+        for (name, early) in [("early", true), ("full", false)] {
+            let ring = std::env::temp_dir().join(format!(
+                "netpart-fluid-spans-{name}-{}.ring",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&ring);
+            let mut sim = FluidSim::empty_with_mode(SolverMode::Incremental);
+            sim.set_telemetry(Telemetry::to_ring(&ring, 4096).unwrap());
+            sim.reset_csr(&offsets, &data, &caps, &sizes);
+            if early {
+                sim.run_until_first_done(2);
+                assert!(!sim.is_done(), "the long flows are still in flight");
+            } else {
+                sim.run_to_completion();
+            }
+
+            let forest = TraceForest::from_records(&snapshot(&RingReader::open(&ring).unwrap()));
+            let mut stack = forest.roots().to_vec();
+            let (mut solves, mut repairs) = (Vec::new(), Vec::new());
+            while let Some(id) = stack.pop() {
+                let span = forest.span(id).unwrap();
+                stack.extend(&span.children);
+                match span.label.as_str() {
+                    "fluid_solve" => solves.push(id),
+                    "dirty_walk" | "component_solve" | "fallback_solve" => {
+                        repairs.push(span.parent_span_id)
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(solves.len(), 1, "{name}: one fluid_solve span");
+            assert!(
+                !repairs.is_empty(),
+                "{name}: the solver's spans are recorded"
+            );
+            assert!(
+                repairs.iter().all(|&parent| parent == solves[0]),
+                "{name}: every solver span nests under fluid_solve"
+            );
+            std::fs::remove_file(&ring).unwrap();
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! makespan thousands of events later. Release builds compile the check
 //! out, so the hot path stays proportional to the change.
 
-use crate::maxmin::{max_min_rates_csr, ChannelId, MaxMinScratch};
+use crate::maxmin::{max_min_rates_csr, ChannelId, LocalChannels, MaxMinScratch};
 use netpart_telemetry::{Telemetry, TelemetryEvent};
 
 /// Which solver a rate-recomputing simulation should run.
@@ -127,14 +127,12 @@ pub struct IncrementalMaxMin {
     full_solve_fraction: f64,
     // Reusable repair buffers.
     flow_seen: Vec<bool>,
-    chan_seen: Vec<bool>,
     chan_stack: Vec<ChannelId>,
     affected_flows: Vec<usize>,
-    affected_channels: Vec<ChannelId>,
-    chan_dense: Vec<ChannelId>,
+    /// The walk's visited channels, then the repair's set-local view.
+    affected_channels: LocalChannels,
     csr_offsets: Vec<usize>,
     csr_data: Vec<ChannelId>,
-    caps_compact: Vec<f64>,
     active_buf: Vec<usize>,
     rate_buf: Vec<f64>,
     scratch: MaxMinScratch,
@@ -167,14 +165,11 @@ impl IncrementalMaxMin {
             chan_dirty: Vec::new(),
             full_solve_fraction: DEFAULT_FULL_SOLVE_FRACTION,
             flow_seen: Vec::new(),
-            chan_seen: Vec::new(),
             chan_stack: Vec::new(),
             affected_flows: Vec::new(),
-            affected_channels: Vec::new(),
-            chan_dense: Vec::new(),
+            affected_channels: LocalChannels::default(),
             csr_offsets: Vec::new(),
             csr_data: Vec::new(),
-            caps_compact: Vec::new(),
             active_buf: Vec::new(),
             rate_buf: Vec::new(),
             scratch: MaxMinScratch::new(),
@@ -207,10 +202,7 @@ impl IncrementalMaxMin {
         self.chan_dirty.clear();
         self.chan_dirty.resize(capacities.len(), false);
         self.flow_seen.clear();
-        self.chan_seen.clear();
-        self.chan_seen.resize(capacities.len(), false);
-        self.chan_dense.clear();
-        self.chan_dense.resize(capacities.len(), 0);
+        self.affected_channels.clear(capacities.len());
     }
 
     /// Tune the full-solve fallback: a repair whose affected flows exceed
@@ -242,11 +234,6 @@ impl IncrementalMaxMin {
     /// The channel capacities (GB/s) the solver was armed with.
     pub fn capacities(&self) -> &[f64] {
         &self.capacities
-    }
-
-    /// Whether a delta since the last solve is still unrepaired.
-    pub fn is_dirty(&self) -> bool {
-        !self.dirty.is_empty()
     }
 
     /// Component repairs performed (dirty solves that stayed incremental).
@@ -423,14 +410,12 @@ impl IncrementalMaxMin {
     fn collect_affected(&mut self) -> bool {
         let budget = (self.full_solve_fraction * self.present_count as f64).floor() as usize;
         self.affected_flows.clear();
-        self.affected_channels.clear();
+        self.affected_channels.clear(self.capacities.len());
         self.chan_stack.clear();
         for i in 0..self.dirty.len() {
             let c = self.dirty[i];
-            if !self.chan_seen[c as usize] {
-                self.chan_seen[c as usize] = true;
+            if self.affected_channels.touch(c) {
                 self.chan_stack.push(c);
-                self.affected_channels.push(c);
             }
         }
         while let Some(c) = self.chan_stack.pop() {
@@ -447,10 +432,8 @@ impl IncrementalMaxMin {
                 let slot = self.flows[id];
                 for idx in slot.start..slot.start + slot.len {
                     let d = self.arena[idx];
-                    if !self.chan_seen[d as usize] {
-                        self.chan_seen[d as usize] = true;
+                    if self.affected_channels.touch(d) {
                         self.chan_stack.push(d);
-                        self.affected_channels.push(d);
                     }
                 }
             }
@@ -458,13 +441,10 @@ impl IncrementalMaxMin {
         true
     }
 
-    /// Reset the walk markers touched by [`collect_affected`].
+    /// Reset the flow markers touched by [`collect_affected`].
     fn clear_walk_markers(&mut self) {
         for &id in &self.affected_flows {
             self.flow_seen[id] = false;
-        }
-        for &c in &self.affected_channels {
-            self.chan_seen[c as usize] = false;
         }
     }
 
@@ -486,6 +466,7 @@ impl IncrementalMaxMin {
         drop(walk_span);
         if walk_contained {
             let _span = self.telemetry.span("component_solve");
+            self.affected_channels.number(&self.capacities);
             self.repair_affected();
             self.repairs += 1;
             self.last_affected = self.affected_flows.len();
@@ -514,28 +495,22 @@ impl IncrementalMaxMin {
         self.clear_dirty();
     }
 
-    /// Batch-solve the affected subproblem through the batch kernel, with
-    /// channels densely remapped in ascending id order and flows in
-    /// ascending id order (both order-preserving, so the kernel's bottleneck
-    /// tie-breaks and member iteration run exactly as they would inside a
-    /// full batch solve — see the module docs).
+    /// Batch-solve the affected subproblem through the batch kernel, over
+    /// the affected channels' (numbered) set-local view and with flows in
+    /// ascending id order (both order-preserving, so the kernel's
+    /// bottleneck tie-breaks and member iteration run exactly as they would
+    /// inside a full batch solve — see the module docs).
     fn repair_affected(&mut self) {
         self.affected_flows.sort_unstable();
-        self.affected_channels.sort_unstable();
-        self.caps_compact.clear();
-        for (dense, &c) in self.affected_channels.iter().enumerate() {
-            self.chan_dense[c as usize] = dense as ChannelId;
-            self.caps_compact.push(self.capacities[c as usize]);
-        }
         self.csr_offsets.clear();
         self.csr_data.clear();
         self.csr_offsets.push(0);
         for &id in &self.affected_flows {
             let slot = self.flows[id];
-            for idx in slot.start..slot.start + slot.len {
-                self.csr_data
-                    .push(self.chan_dense[self.arena[idx] as usize]);
-            }
+            self.affected_channels.push_path(
+                &self.arena[slot.start..slot.start + slot.len],
+                &mut self.csr_data,
+            );
             self.csr_offsets.push(self.csr_data.len());
         }
         let k = self.affected_flows.len();
@@ -547,7 +522,7 @@ impl IncrementalMaxMin {
             &self.active_buf,
             &self.csr_offsets,
             &self.csr_data,
-            &self.caps_compact,
+            &self.affected_channels.capacities,
             &mut self.scratch,
             &mut self.rate_buf,
         );
@@ -557,38 +532,20 @@ impl IncrementalMaxMin {
         self.clear_walk_markers();
     }
 
-    /// The fallback path: batch-solve every present flow in place.
+    /// The fallback path: batch-solve every present flow, numbering their
+    /// channels by one scan instead of a sort.
     fn solve_everything(&mut self) {
-        self.csr_offsets.clear();
-        self.csr_data.clear();
-        self.csr_offsets.push(0);
-        self.active_buf.clear();
         self.affected_flows.clear();
-        for (id, slot) in self.flows.iter().enumerate() {
-            if !slot.present {
-                continue;
-            }
-            self.csr_data
-                .extend_from_slice(&self.arena[slot.start..slot.start + slot.len]);
-            self.csr_offsets.push(self.csr_data.len());
+        self.affected_channels.clear(self.capacities.len());
+        for (id, slot) in self.flows.iter().enumerate().filter(|(_, s)| s.present) {
             self.affected_flows.push(id);
+            for &c in &self.arena[slot.start..slot.start + slot.len] {
+                self.affected_channels.touch(c);
+            }
         }
-        let k = self.affected_flows.len();
-        self.active_buf.extend(0..k);
-        self.rate_buf.clear();
-        self.rate_buf.resize(k, 0.0);
-        max_min_rates_csr(
-            &self.active_buf,
-            &self.csr_offsets,
-            &self.csr_data,
-            &self.capacities,
-            &mut self.scratch,
-            &mut self.rate_buf,
-        );
-        for row in 0..k {
-            self.rates[self.affected_flows[row]] = self.rate_buf[row];
-        }
-        self.affected_flows.clear();
+        self.affected_channels
+            .number_by_scan(&self.capacities, |_| false);
+        self.repair_affected();
     }
 
     /// Debug-only shadow solve: replay the full flow set through the batch

@@ -222,30 +222,114 @@ pub fn max_min_rates_csr(
     }
 }
 
-/// Convenience wrapper over [`max_min_rates_csr`] for callers with
-/// per-flow path vectors and no scratch to reuse (one-shot solves, tests).
-pub fn max_min_rates(
-    active: &[usize],
-    paths: &[Vec<ChannelId>],
-    capacities: &[f64],
-    n_channels: usize,
-    rate: &mut [f64],
-) {
-    debug_assert_eq!(n_channels, capacities.len(), "capacity per channel");
-    let mut offsets = Vec::with_capacity(paths.len() + 1);
-    offsets.push(0usize);
-    let mut data = Vec::with_capacity(paths.iter().map(Vec::len).sum());
-    for p in paths {
-        data.extend_from_slice(p);
-        offsets.push(data.len());
+/// Marks a fabric channel outside a [`LocalChannels`] view.
+const UNTOUCHED: ChannelId = ChannelId::MAX;
+
+/// The set-local view of a flow set: the channels its paths touch,
+/// renumbered densely in ascending fabric-id order, with their capacities.
+/// The ascending order keeps the kernel's `(share, channel)` tie-break and
+/// untouched channels never enter a solve, so [`max_min_rates_csr`] over the
+/// view is bit-identical to a solve over the fabric while its per-channel
+/// passes cost only the set's channels. `FluidSim`, the incremental repair
+/// and the delta scorer all build their subproblems with it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LocalChannels {
+    /// Fabric channel -> local id; `UNTOUCHED` outside the view.
+    local: Vec<ChannelId>,
+    /// Local id -> fabric channel (in touch order until numbered).
+    global: Vec<ChannelId>,
+    /// Local id -> capacity (GB/s).
+    pub(crate) capacities: Vec<f64>,
+}
+
+impl LocalChannels {
+    /// Start an empty view over `n_channels` fabric channels; costs the
+    /// previous view's size, not the fabric's.
+    pub(crate) fn clear(&mut self, n_channels: usize) {
+        for &c in &self.global {
+            self.local[c as usize] = UNTOUCHED;
+        }
+        self.local.resize(n_channels, UNTOUCHED);
+        self.global.clear();
+        self.capacities.clear();
     }
-    let mut scratch = MaxMinScratch::new();
-    max_min_rates_csr(active, &offsets, &data, capacities, &mut scratch, rate);
+
+    /// Add fabric channel `c` to the view and list it for [`number`];
+    /// `true` if it was not in the view yet.
+    ///
+    /// [`number`]: LocalChannels::number
+    pub(crate) fn touch(&mut self, c: ChannelId) -> bool {
+        let fresh = self.local[c as usize] == UNTOUCHED;
+        if fresh {
+            self.local[c as usize] = 0;
+            self.global.push(c);
+        }
+        fresh
+    }
+
+    /// Number the touched channels `0..` in ascending fabric order, sorting
+    /// their list, and gather their `capacities` (indexed by fabric channel).
+    pub(crate) fn number(&mut self, capacities: &[f64]) {
+        self.global.sort_unstable();
+        self.gather(capacities);
+    }
+
+    /// [`number`](LocalChannels::number) by one scan of the fabric instead
+    /// of a sort, for callers that make a fabric-wide pass anyway: the view
+    /// becomes the touched channels plus those `keep` selects (`keep` sees
+    /// every channel, in ascending order).
+    pub(crate) fn number_by_scan(
+        &mut self,
+        capacities: &[f64],
+        mut keep: impl FnMut(usize) -> bool,
+    ) {
+        let local = &self.local;
+        self.global.clear();
+        self.global.extend(
+            (0..local.len())
+                .filter(|&c| keep(c) || local[c] != UNTOUCHED)
+                .map(|c| c as ChannelId),
+        );
+        self.gather(capacities);
+    }
+
+    /// Give the listed channels their local ids and capacities.
+    fn gather(&mut self, capacities: &[f64]) {
+        self.capacities.clear();
+        for (id, &c) in self.global.iter().enumerate() {
+            self.local[c as usize] = id as ChannelId;
+            self.capacities.push(capacities[c as usize]);
+        }
+    }
+
+    /// Append `path` (channels in the view) to `data` in local ids.
+    pub(crate) fn push_path(&self, path: &[ChannelId], data: &mut Vec<ChannelId>) {
+        data.extend(path.iter().map(|&c| self.local[c as usize]));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One-shot solve over per-flow path vectors.
+    fn max_min_rates(
+        active: &[usize],
+        paths: &[Vec<ChannelId>],
+        capacities: &[f64],
+        n_channels: usize,
+        rate: &mut [f64],
+    ) {
+        assert_eq!(n_channels, capacities.len(), "capacity per channel");
+        let mut offsets = vec![0usize];
+        let mut data = Vec::new();
+        for p in paths {
+            data.extend_from_slice(p);
+            offsets.push(data.len());
+        }
+        let mut scratch = MaxMinScratch::new();
+        max_min_rates_csr(active, &offsets, &data, capacities, &mut scratch, rate);
+    }
 
     #[test]
     fn single_flow_gets_the_full_bottleneck_capacity() {

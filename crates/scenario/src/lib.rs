@@ -74,7 +74,7 @@ pub use run::{
 // `netpart-telemetry` dependency.
 pub use netpart_engine::{FabricPatch, LinkPatch, NodePatch, Telemetry, TelemetryEvent};
 pub use spec::{
-    build_fabric, estimated_size, AllocatorSpec, FabricError, PolicySpec, RoutingSpec,
-    ScenarioSpec, TopologySpec, TrafficSpec, MAX_FABRIC_CHANNELS, MAX_FABRIC_NODES, MAX_FLOWS,
-    MAX_JOBS,
+    build_fabric, check_penalty_flows, estimated_size, AllocatorSpec, FabricError, PolicySpec,
+    RoutingSpec, ScenarioSpec, TopologySpec, TrafficSpec, MAX_FABRIC_CHANNELS, MAX_FABRIC_NODES,
+    MAX_FLOWS, MAX_JOBS,
 };

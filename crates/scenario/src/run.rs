@@ -2,8 +2,8 @@
 //! rayon-parallel sweep runner.
 
 use crate::spec::{
-    build_fabric, AllocatorSpec, FabricError, PolicySpec, RoutingSpec, ScenarioSpec, TrafficSpec,
-    MAX_FLOWS, MAX_JOBS,
+    build_fabric, check_penalty_flows, AllocatorSpec, FabricError, PolicySpec, RoutingSpec,
+    ScenarioSpec, TrafficSpec, MAX_FLOWS, MAX_JOBS,
 };
 use netpart_engine::{
     pairing_flows, route_flows_csr, simulate_cluster_observed, Allocator, CompactAllocator,
@@ -320,6 +320,7 @@ pub fn run_scenario_observed(
                     fabric.num_nodes()
                 )));
             }
+            check_penalty_flows(fabric.num_nodes(), *max_nodes).map_err(invalid)?;
             let alloc: Box<dyn Allocator> = match allocator {
                 AllocatorSpec::Compact => Box::new(CompactAllocator),
                 AllocatorSpec::Scatter(stride) => Box::new(ScatterAllocator {
@@ -513,6 +514,34 @@ mod tests {
         let result = run_scenario(&spec).unwrap();
         assert_eq!(result.units, 20);
         assert!(matches!(result.detail, ScenarioDetail::Scheduler { .. }));
+    }
+
+    #[test]
+    fn job_traces_whose_penalties_exceed_the_flow_budget_are_rejected() {
+        let job_trace = |dims: Vec<usize>, max_nodes| ScenarioSpec {
+            topology: TopologySpec::Torus(dims),
+            routing: RoutingSpec::DimensionOrdered,
+            traffic: TrafficSpec::JobTrace {
+                jobs: 1,
+                max_nodes,
+                mean_gap: 60.0,
+                gigabytes: 0.25,
+                allocator: AllocatorSpec::Compact,
+            },
+            seed: 1,
+        };
+        // An in-budget fabric whose first job alone would hold 10,995
+        // nodes: 120.9M flows, refused before any is built.
+        assert!(matches!(
+            run_scenario(&job_trace(vec![32, 32, 16], 16_384)),
+            Err(ScenarioError::InvalidSpec(_))
+        ));
+        // The bound is inclusive: 4,096 nodes · 16 = MAX_FLOWS.
+        assert!(run_scenario(&job_trace(vec![16, 16, 16], 17)).is_ok());
+        assert!(matches!(
+            run_scenario(&job_trace(vec![16, 16, 16], 18)),
+            Err(ScenarioError::InvalidSpec(_))
+        ));
     }
 
     #[test]

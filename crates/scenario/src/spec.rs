@@ -30,6 +30,22 @@ pub const MAX_FLOWS: usize = 1 << 16;
 /// Upper bound on jobs per scenario.
 pub const MAX_JOBS: usize = 4096;
 
+/// Check a job stream's cluster penalties against [`MAX_FLOWS`] before any
+/// flow is allocated. Jobs running at the same time hold disjoint nodes, so
+/// every penalty's flow set (the all-to-all exchanges of the starting job
+/// and the running ones) has at most `nodes · (max_nodes − 1)` flows. The
+/// error is the rejection message.
+pub fn check_penalty_flows(nodes: usize, max_nodes: usize) -> Result<(), String> {
+    let bound = nodes.saturating_mul(max_nodes.saturating_sub(1));
+    if bound > MAX_FLOWS {
+        return Err(format!(
+            "jobs of up to {max_nodes} nodes on {nodes} nodes can put {bound} flows into one \
+             penalty evaluation, exceeding the per-scenario budget of {MAX_FLOWS}"
+        ));
+    }
+    Ok(())
+}
+
 /// A network fabric, by family and shape. The `dims` interpretation is
 /// family-specific: torus/HyperX extents, `[dimension]` for hypercubes,
 /// `[k]` for fat-trees, `[groups, routers_per_group, nodes_per_router]` for

@@ -16,7 +16,9 @@ use netpart_engine::{
     Fabric, Flow, Router, ScatterAllocator, ShortestPath, SolverMode, Telemetry,
 };
 use netpart_machines::{known, BlueGeneQ};
-use netpart_scenario::{run_allocation_sweep_observed, run_sweep_observed, MAX_FLOWS, MAX_JOBS};
+use netpart_scenario::{
+    check_penalty_flows, run_allocation_sweep_observed, run_sweep_observed, MAX_FLOWS, MAX_JOBS,
+};
 use netpart_sched::{generate_trace, SchedPolicy, TraceConfig};
 use netpart_topology::GlobalArrangement;
 
@@ -228,6 +230,9 @@ fn handle_cluster_sim(
             "max_nodes must be in 2..={} for this fabric",
             fabric.num_nodes()
         ));
+    }
+    if let Err(message) = check_penalty_flows(fabric.num_nodes(), max_nodes) {
+        return unsupported(message);
     }
     let alloc: Box<dyn Allocator> = match allocator {
         AllocatorSpec::Compact => Box::new(CompactAllocator),
@@ -581,6 +586,38 @@ mod tests {
             scatter >= compact - 1e-9,
             "scatter ({scatter}) should not beat compact ({compact})"
         );
+    }
+
+    #[test]
+    fn cluster_sim_beyond_the_penalty_flow_budget_is_refused() {
+        let run = |dims: Vec<usize>, max_nodes| {
+            handle(&Request::ClusterSim {
+                topology: TopologySpec::Torus(dims),
+                jobs: 1,
+                max_nodes,
+                mean_gap: 40.0,
+                gigabytes: 0.25,
+                allocator: AllocatorSpec::Compact,
+            })
+        };
+        let refused = |resp: Response| {
+            matches!(
+                resp,
+                Response::Error {
+                    code: ErrorCode::Unsupported,
+                    ..
+                }
+            )
+        };
+        // 16,384 nodes, jobs of up to all of them: the first job's exchange
+        // alone is 120.9M flows, refused before any is built.
+        assert!(refused(run(vec![32, 32, 16], 16_384)));
+        // The bound is inclusive: 4,096 nodes · 16 = MAX_FLOWS.
+        assert!(matches!(
+            run(vec![16, 16, 16], 17),
+            Response::ClusterSummary { jobs: 1, .. }
+        ));
+        assert!(refused(run(vec![16, 16, 16], 18)));
     }
 
     #[test]

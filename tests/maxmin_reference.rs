@@ -11,15 +11,18 @@
 //!
 //! [`reference_fluid`] drives the reference through `FluidSim`'s round
 //! arithmetic (earliest completion, the `> 2000`-flow lookahead, the
-//! retirement epsilon), so whole simulations are compared too, not only
-//! single solves. Every comparison is on the bits of the `f64`s.
+//! retirement epsilon) over every fabric channel, so whole simulations are
+//! compared too, not only single solves: completion times, per-channel
+//! loads and the bottleneck bound, and the completion times of runs that
+//! stop once a prefix of the flows is done. Every comparison is on the
+//! bits of the `f64`s.
 //!
 //! The CI `queue-parity` job runs this suite with an elevated case count
 //! (`PROPTEST_CASES=512`); locally it defaults to a fast 48 per property.
 
 use netpart::engine::{
-    max_min_rates_csr, route_flows_csr, ChannelId, DimensionOrdered, Fabric, Flow, FluidSim,
-    MaxMinScratch, Router, ShortestPath, SolverMode,
+    max_min_rates_csr, route_flows_csr, ChannelId, DimensionOrdered, Fabric, Flow, FluidOutcome,
+    FluidSim, MaxMinScratch, Router, ShortestPath, SolverMode,
 };
 use netpart::scenario::{build_fabric, TopologySpec};
 use netpart::topology::Torus;
@@ -83,14 +86,26 @@ fn reference_rates(
 }
 
 /// A fluid run to completion on [`reference_rates`], with `FluidSim`'s
-/// round arithmetic. Returns `(makespan, completion times, rounds)`.
+/// round arithmetic; channel loads are summed per fabric channel in flow
+/// order.
 fn reference_fluid(
     path_offsets: &[usize],
     path_data: &[ChannelId],
     capacities: &[f64],
     sizes: &[f64],
-) -> (f64, Vec<f64>, usize) {
+) -> FluidOutcome {
     let n = sizes.len();
+    let mut channel_load_gb = vec![0.0f64; capacities.len()];
+    for (i, gb) in sizes.iter().enumerate() {
+        for &c in &path_data[path_offsets[i]..path_offsets[i + 1]] {
+            channel_load_gb[c as usize] += gb;
+        }
+    }
+    let bottleneck_lower_bound = channel_load_gb
+        .iter()
+        .zip(capacities)
+        .map(|(gb, cap)| gb / cap)
+        .fold(0.0, f64::max);
     let mut active: Vec<usize> = (0..n)
         .filter(|&i| sizes[i] > 0.0 && path_offsets[i + 1] > path_offsets[i])
         .collect();
@@ -120,7 +135,13 @@ fn reference_fluid(
             }
         });
     }
-    (time, completion, rounds)
+    FluidOutcome {
+        makespan: time,
+        completion,
+        channel_load_gb,
+        bottleneck_lower_bound,
+        rounds,
+    }
 }
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -148,7 +169,10 @@ fn assert_solve_matches(
 }
 
 /// Assert a `FluidSim` run under `mode` equals the reference fluid run to
-/// the bit: makespan, every completion time and the round count.
+/// the bit: makespan, every completion time, the round count, every
+/// channel's load and the bottleneck bound. Runs stopped once the first `k`
+/// flows are done (a cluster penalty's early stop) must report those flows'
+/// reference completion times, for a few prefixes `k`.
 fn assert_fluid_matches(
     offsets: &[usize],
     data: &[ChannelId],
@@ -156,22 +180,51 @@ fn assert_fluid_matches(
     sizes: &[f64],
     mode: SolverMode,
 ) {
-    let (makespan, completion, rounds) = reference_fluid(offsets, data, capacities, sizes);
-    let mut sim = FluidSim::empty_with_mode(mode);
-    sim.reset_csr(offsets, data, capacities, sizes);
+    let reference = reference_fluid(offsets, data, capacities, sizes);
+    let armed = || {
+        let mut sim = FluidSim::empty_with_mode(mode);
+        sim.reset_csr(offsets, data, capacities, sizes);
+        sim
+    };
+    let mut sim = armed();
     sim.run_to_completion();
     let outcome = sim.into_outcome();
-    assert_eq!(outcome.rounds, rounds, "round count ({mode:?})");
+    assert_eq!(outcome.rounds, reference.rounds, "round count ({mode:?})");
     assert_eq!(
         outcome.makespan.to_bits(),
-        makespan.to_bits(),
+        reference.makespan.to_bits(),
         "makespan ({mode:?})"
     );
     assert_eq!(
         bits(&outcome.completion),
-        bits(&completion),
+        bits(&reference.completion),
         "completion times ({mode:?})"
     );
+    assert_eq!(
+        bits(&outcome.channel_load_gb),
+        bits(&reference.channel_load_gb),
+        "channel loads ({mode:?})"
+    );
+    assert_eq!(
+        outcome.bottleneck_lower_bound.to_bits(),
+        reference.bottleneck_lower_bound.to_bits(),
+        "bottleneck bound ({mode:?})"
+    );
+
+    let n = sizes.len();
+    let mut prefixes = vec![1.min(n), n / 3, n / 2, n.saturating_sub(1)];
+    prefixes.sort_unstable();
+    prefixes.dedup();
+    for k in prefixes {
+        let mut early = armed();
+        early.run_until_first_done(k);
+        assert!(early.rounds() <= reference.rounds);
+        assert_eq!(
+            bits(&early.completion_times()[..k]),
+            bits(&reference.completion[..k]),
+            "first {k} completion times ({mode:?})"
+        );
+    }
 }
 
 fn route(fabric: &Fabric, router: &dyn Router, flows: &[Flow]) -> (Vec<usize>, Vec<ChannelId>) {
@@ -233,6 +286,49 @@ fn paper_pairing_on_8x8x4x4x2_matches_the_reference_bitwise() {
         &sizes,
         SolverMode::Batch,
     );
+}
+
+#[test]
+fn sparse_flows_on_32x32x4_match_the_reference_bitwise() {
+    // A dozen flows over 24,576 channels: the set-local view holds a few
+    // dozen of them. The zero-volume flow is alone on some of its channels,
+    // which enter the view with no load and must read 0 per fabric channel.
+    let fabric = Fabric::from_torus(Torus::new(vec![32, 32, 4]), 2.0);
+    assert_eq!(fabric.num_channels(), 24_576);
+    let flows: Vec<Flow> = [
+        (0, 9, 1.0),
+        (1, 9, 2.0),
+        (2, 40, 0.5),
+        (0, 64, 1.5),
+        (9, 0, 1.0),
+        (33, 1, 0.75),
+        (64, 2, 1.25),
+        (5, 100, 3.0),
+        (100, 5, 0.25),
+        (40, 41, 1.0),
+        (41, 40, 2.5),
+        (3000, 3003, 0.0),
+    ]
+    .into_iter()
+    .map(|(src, dst, gigabytes)| Flow {
+        src,
+        dst,
+        gigabytes,
+    })
+    .collect();
+    let (offsets, data) = route(&fabric, &DimensionOrdered::default(), &flows);
+    let zero = flows.len() - 1;
+    let zero_path = &data[offsets[zero]..offsets[zero + 1]];
+    assert!(
+        zero_path
+            .iter()
+            .any(|c| data[..offsets[zero]].iter().all(|d| d != c)),
+        "the zero-volume flow has a channel of its own"
+    );
+    let sizes: Vec<f64> = flows.iter().map(|f| f.gigabytes).collect();
+    for mode in [SolverMode::Batch, SolverMode::Incremental] {
+        assert_fluid_matches(&offsets, &data, fabric.capacities(), &sizes, mode);
+    }
 }
 
 proptest! {
