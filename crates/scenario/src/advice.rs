@@ -724,14 +724,16 @@ fn exchange_model(spec: &AdviceSpec) -> ContentionModel {
 
 /// Rank candidates from their labels, node sets and simulation scores:
 /// bounds, gaps, sort and ordering agreement. Shared by the advice and
-/// re-advice paths so both rank identically.
+/// re-advice paths so both rank identically. A volume so large that a
+/// bound or a completion time overflows is refused: JSON cannot carry a
+/// non-finite number, so no client could read that answer.
 fn assemble_result(
     spec: &AdviceSpec,
     fabric: &Fabric,
     candidates: LabeledAllocations,
     scores: Vec<CandidateScore>,
     truncated: bool,
-) -> AdviceResult {
+) -> Result<AdviceResult, ScenarioError> {
     let model = exchange_model(spec);
     let mut scored = Vec::with_capacity(candidates.len());
     for ((label, nodes), score) in candidates.into_iter().zip(scores) {
@@ -756,6 +758,22 @@ fn assemble_result(
             solves: score.solves,
         });
     }
+    let finite = |c: &CandidateResult| {
+        [
+            c.bound_seconds,
+            c.simulated_seconds,
+            c.gap,
+            c.cut_gbs,
+            c.internal_bisection_gbs,
+        ]
+        .iter()
+        .all(|x| x.is_finite())
+    };
+    if !scored.iter().all(finite) {
+        return Err(invalid(
+            "candidate scores are not finite; gigabytes is too large for this fabric",
+        ));
+    }
     scored.sort_by(|a, b| {
         a.simulated_seconds
             .total_cmp(&b.simulated_seconds)
@@ -763,14 +781,14 @@ fn assemble_result(
             .then_with(|| a.label.cmp(&b.label))
     });
     let agreement = ordering_agreement(&scored);
-    AdviceResult {
+    Ok(AdviceResult {
         label: spec.label(),
         fabric: fabric.name().to_string(),
         nodes: spec.nodes,
         candidates: scored,
         ordering_agreement: agreement,
         truncated,
-    }
+    })
 }
 
 /// Answer an already-validated spec on an explicit fabric (the spec's own,
@@ -831,7 +849,7 @@ fn advise_on_fabric(
         }
     }
     drop(score_span);
-    Ok(assemble_result(spec, fabric, candidates, scores, truncated))
+    assemble_result(spec, fabric, candidates, scores, truncated)
 }
 
 /// Patch a fabric and re-answer an advice spec, reusing a previously
@@ -939,9 +957,7 @@ pub fn run_readvise_observed(
         .into_iter()
         .map(|kept| kept.unwrap_or_else(|| fresh.next().expect("one fresh score per affected")))
         .collect();
-    Ok(assemble_result(
-        spec, &patched, candidates, scores, truncated,
-    ))
+    assemble_result(spec, &patched, candidates, scores, truncated)
 }
 
 /// The node sets of labelled candidates, in order.

@@ -13,7 +13,7 @@ use crate::protocol::{
 use netpart_contention::{advise_kernel, ContentionModel, Kernel, NodeModel};
 use netpart_engine::{
     simulate_cluster_observed, simulate_flows, Allocator, CompactAllocator, DimensionOrdered,
-    Fabric, Flow, Router, ScatterAllocator, ShortestPath, SolverMode, Telemetry,
+    Fabric, Router, ScatterAllocator, ShortestPath, SolverMode, Telemetry,
 };
 use netpart_machines::{known, BlueGeneQ};
 use netpart_scenario::{
@@ -89,6 +89,10 @@ fn handle_advise(machine: &str, size: usize, kernel: &Option<KernelSpec>) -> Res
     let Some(advice) = advise_kernel(&bgq, &model, &node, size) else {
         return unsupported(format!("{machine} cannot host {size} midplanes"));
     };
+    let predicted_speedup = advice.predicted_speedup();
+    if !predicted_speedup.is_finite() {
+        return unsupported("the predicted speedup is not finite; kernel costs are too large");
+    }
     let regime = match advice.regime() {
         netpart_contention::RuntimeRegime::ContentionBound => "contention_bound",
         netpart_contention::RuntimeRegime::BandwidthBound => "bandwidth_bound",
@@ -101,7 +105,7 @@ fn handle_advise(machine: &str, size: usize, kernel: &Option<KernelSpec>) -> Res
         best_dims: advice.best_geometry.node_dims().to_vec(),
         worst_links: advice.worst_geometry.bisection_links(),
         best_links: advice.best_geometry.bisection_links(),
-        predicted_speedup: advice.predicted_speedup(),
+        predicted_speedup,
         regime: regime.to_string(),
         geometry_matters: advice.geometry_matters(),
     }
@@ -186,21 +190,18 @@ fn handle_simulate_flows(topology: &TopologySpec, flows: &[FlowSpec]) -> Respons
     {
         return unsupported("flow volumes must be non-negative");
     }
-    let engine_flows: Vec<Flow> = flows
-        .iter()
-        .map(|f| Flow {
-            src: f.src,
-            dst: f.dst,
-            gigabytes: f.gigabytes,
-        })
-        .collect();
-    match simulate_flows(&fabric, router.as_ref(), &engine_flows) {
-        Ok(outcome) => Response::FlowSummary {
-            flows: flows.len(),
-            makespan: outcome.makespan,
-            mean_completion: outcome.mean_completion(),
-        },
-        Err(e) => Response::error(ErrorCode::Internal, format!("simulation failed: {e}")),
+    let outcome = match simulate_flows(&fabric, router.as_ref(), flows) {
+        Ok(outcome) => outcome,
+        Err(e) => return Response::error(ErrorCode::Internal, format!("simulation failed: {e}")),
+    };
+    let mean_completion = outcome.mean_completion();
+    if !(outcome.makespan.is_finite() && mean_completion.is_finite()) {
+        return unsupported("flow completion times are not finite; flow volumes are too large");
+    }
+    Response::FlowSummary {
+        flows: flows.len(),
+        makespan: outcome.makespan,
+        mean_completion,
     }
 }
 
@@ -728,5 +729,63 @@ mod tests {
         // Nearby legitimate shapes still build.
         assert!(!refused(TopologySpec::HyperX(vec![8, 8])));
         assert!(!refused(TopologySpec::Dragonfly(4, 4, 4)));
+    }
+
+    #[test]
+    fn answers_json_cannot_carry_are_refused() {
+        // Each request is within budget, but its answer overflows to a
+        // non-finite number, which the JSON writer could only send as null.
+        use crate::protocol::{AllocationSpec, RoutingSpec};
+        let torus = TopologySpec::Torus(vec![4, 4]);
+        let spec = AdviceSpec {
+            topology: torus.clone(),
+            routing: RoutingSpec::ShortestPath,
+            nodes: 8,
+            gigabytes: 1e308,
+            candidates: vec![AllocationSpec::Blocked, AllocationSpec::Greedy],
+            seed: 0,
+        };
+        let requests = [
+            Request::Advise {
+                machine: "mira".into(),
+                size: 16,
+                kernel: Some(KernelSpec::Custom(1e308, 1e308)),
+            },
+            Request::SimulateFlows {
+                topology: torus,
+                flows: (0..4)
+                    .map(|src| FlowSpec {
+                        src,
+                        dst: 15 - src,
+                        gigabytes: 1e308,
+                    })
+                    .collect(),
+            },
+            Request::AdviseFabric { spec: spec.clone() },
+            Request::Readvise {
+                spec: spec.clone(),
+                patch: FabricPatch::default(),
+            },
+        ];
+        for request in &requests {
+            let reply = Response::decode(&handle(request).encode());
+            assert!(
+                matches!(
+                    reply,
+                    Ok(Response::Error {
+                        code: ErrorCode::Unsupported,
+                        ..
+                    })
+                ),
+                "{request:?}: {reply:?}"
+            );
+        }
+        let sweep = handle(&Request::AllocationSweep { specs: vec![spec] });
+        match Response::decode(&sweep.encode()) {
+            Ok(Response::AllocationSweepSummary { results }) => {
+                assert!(results.iter().all(|line| !line.is_ok()), "{results:?}");
+            }
+            other => panic!("expected an allocation-sweep summary, got {other:?}"),
+        }
     }
 }

@@ -5,9 +5,25 @@
 //! keys, compact), so the rendered form of a [`Request`] doubles as its
 //! cache key. Every decode error is total — malformed input becomes a
 //! typed [`Response::Error`], never a panic.
+//!
+//! Each wire type is declared once, as a table from which both directions
+//! are generated, so encoder and decoder cannot drift apart. `object!`
+//! lists a struct's members; `tagged!` lists an enum's variants under the
+//! member that names them (`type`, `kind`, `name` or `policy`). Each member
+//! names its codec: how its value is written under its key and read back.
+//! The key is the member's name. Decode order is table order, so a line
+//! with several faults reports the first member listed that is at fault.
+//!
+//! Five types carry a rule the tables do not express and are written by
+//! hand: [`TopologySpec`] (per-family dims), [`AllocatorSpec`] (a scatter
+//! without a stride takes 7), [`StatsSnapshot`] (grouped counters, derived
+//! rates, groups that older servers omit) and the two sweep-line types (an
+//! ok and an error shape).
 
 use serde::json::Value;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::marker::PhantomData;
 
 // The scenario vocabulary is the protocol's type layer: the wire codec below
 // renders / parses these shared spec types, so the service, the sweep runner
@@ -20,6 +36,10 @@ pub use netpart_scenario::{
 /// A network fabric, by family and shape (re-exported from
 /// `netpart-scenario`, which owns the canonical spec vocabulary).
 pub use netpart_scenario::TopologySpec;
+
+/// One point-to-point flow of [`Request::SimulateFlows`]: the engine's own
+/// flow type, which the handler simulates as sent.
+pub use netpart_engine::Flow as FlowSpec;
 
 /// A decode failure, reported back to the client as a `bad_request` error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,487 +57,465 @@ fn missing(field: &str) -> ProtocolError {
     ProtocolError(format!("missing or invalid field '{field}'"))
 }
 
-fn get_str(v: &Value, field: &str) -> Result<String, ProtocolError> {
-    v.get(field)
+/// The members of one JSON object.
+type Map = BTreeMap<String, Value>;
+
+/// How one wire form is written under its key and read back.
+///
+/// `to_value`/`from_value` convert a lone value (a member's, or a list
+/// element's); `write`/`read` place it under its key in a holder object,
+/// and are overridden by the forms that are not simply "one value under the
+/// key". A leaf that does not fit is refused as
+/// `missing or invalid field '<key>'`.
+trait Codec {
+    /// The Rust value this form carries.
+    type Item;
+
+    fn to_value(item: &Self::Item) -> Value;
+
+    fn from_value(v: &Value, key: &str) -> Result<Self::Item, ProtocolError>;
+
+    fn write(item: &Self::Item, key: &'static str, obj: &mut Map) {
+        obj.insert(key.to_string(), Self::to_value(item));
+    }
+
+    fn read(holder: &Value, key: &str) -> Result<Self::Item, ProtocolError> {
+        Self::from_value(holder.get(key).ok_or_else(|| missing(key))?, key)
+    }
+}
+
+/// A wire type whose members fill one JSON object: its own when it is
+/// nested under a key (the blanket [`Codec`] below), the holder's when it
+/// is [`Flat`].
+trait Object: Sized {
+    fn put(&self, obj: &mut Map);
+
+    fn get(v: &Value) -> Result<Self, ProtocolError>;
+}
+
+fn object_value<T: Object>(item: &T) -> Value {
+    let mut obj = Map::new();
+    item.put(&mut obj);
+    Value::Obj(obj)
+}
+
+/// The string under the member that names a variant.
+fn tag<'a>(v: &'a Value, key: &str) -> Result<&'a str, ProtocolError> {
+    v.get(key)
         .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| missing(field))
+        .ok_or_else(|| missing(key))
 }
 
-fn get_usize(v: &Value, field: &str) -> Result<usize, ProtocolError> {
-    v.get(field)
-        .and_then(Value::as_usize)
-        .ok_or_else(|| missing(field))
-}
+/// Leaf codecs, one line each: `Codec => carried type: encode, decode`.
+/// A value the decoder does not take is `missing or invalid field '<key>'`.
+macro_rules! leaf {
+    ($($codec:ty => $item:ty: $encode:expr, $decode:expr;)*) => {$(
+        impl Codec for $codec {
+            type Item = $item;
 
-fn get_f64(v: &Value, field: &str) -> Result<f64, ProtocolError> {
-    v.get(field)
-        .and_then(Value::as_f64)
-        .filter(|n| n.is_finite())
-        .ok_or_else(|| missing(field))
-}
+            fn to_value(item: &$item) -> Value {
+                $encode(item)
+            }
 
-fn get_dims(v: &Value, field: &str) -> Result<Vec<usize>, ProtocolError> {
-    let arr = v
-        .get(field)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| missing(field))?;
-    arr.iter()
-        .map(|d| d.as_usize().ok_or_else(|| missing(field)))
-        .collect()
-}
-
-/// Exact-integer field decode: canonically a decimal string (exact for all
-/// `u64`); a plain JSON number is accepted from hand-written clients as long
-/// as it is integer-exact.
-fn get_u64(v: &Value, field: &str) -> Result<u64, ProtocolError> {
-    match v.get(field) {
-        Some(Value::Str(s)) => s.parse::<u64>().map_err(|_| missing(field)),
-        Some(n) => n.as_usize().map(|n| n as u64).ok_or_else(|| missing(field)),
-        None => Err(missing(field)),
-    }
-}
-
-fn topology_to_value(spec: &TopologySpec) -> Value {
-    Value::obj([
-        ("family", Value::from(spec.family())),
-        ("dims", Value::from(spec.dims())),
-    ])
-}
-
-fn topology_from_value(v: &Value) -> Result<TopologySpec, ProtocolError> {
-    let family = get_str(v, "family")?;
-    let dims = get_dims(v, "dims")?;
-    let arity = |n: usize| {
-        if dims.len() == n {
-            Ok(())
-        } else {
-            Err(ProtocolError(format!(
-                "family '{family}' expects {n} dims, got {}",
-                dims.len()
-            )))
+            fn from_value(v: &Value, key: &str) -> Result<$item, ProtocolError> {
+                $decode(v).ok_or_else(|| missing(key))
+            }
         }
+    )*};
+}
+
+/// Seeds and salts: a decimal string, exact for every `u64` (a JSON number
+/// is an `f64` and would round them above 2^53). An integer-exact number
+/// is also accepted from hand-written clients.
+struct Exact;
+
+leaf! {
+    String => String: |s: &String| Value::from(s.as_str()),
+        |v: &Value| v.as_str().map(str::to_string);
+    bool => bool: |b: &bool| Value::Bool(*b), Value::as_bool;
+    usize => usize: |n: &usize| Value::from(*n), Value::as_usize;
+    // Finite only: JSON has no infinity or NaN.
+    f64 => f64: |x: &f64| Value::from(*x), |v: &Value| v.as_f64().filter(|x| x.is_finite());
+    // A JSON number: counters, link counts and kernel sizes.
+    u64 => u64: |n: &u64| Value::from(*n), |v: &Value| v.as_usize().map(|n| n as u64);
+    Exact => u64: |n: &u64| Value::from(n.to_string()), |v: &Value| match v {
+        Value::Str(s) => s.parse::<u64>().ok(),
+        n => n.as_usize().map(|n| n as u64),
     };
-    match family.as_str() {
-        "torus" => {
-            if dims.is_empty() || dims.contains(&0) {
-                return Err(ProtocolError(
-                    "torus dims must be non-empty and positive".into(),
-                ));
+}
+
+impl Codec for ErrorCode {
+    type Item = ErrorCode;
+
+    fn to_value(code: &ErrorCode) -> Value {
+        Value::from(code.as_str())
+    }
+
+    fn from_value(v: &Value, key: &str) -> Result<ErrorCode, ProtocolError> {
+        ErrorCode::from_str(v.as_str().ok_or_else(|| missing(key))?)
+    }
+}
+
+/// `(kind, count)` pairs as an object from kind to count.
+struct Counts;
+
+impl Codec for Counts {
+    type Item = Vec<(String, u64)>;
+
+    fn to_value(counts: &Self::Item) -> Value {
+        Value::Obj(
+            counts
+                .iter()
+                .map(|(k, n)| (k.clone(), Value::from(*n)))
+                .collect(),
+        )
+    }
+
+    fn from_value(v: &Value, key: &str) -> Result<Self::Item, ProtocolError> {
+        let obj = v.as_obj().ok_or_else(|| missing(key))?;
+        obj.iter()
+            .map(|(k, n)| Ok((k.clone(), u64::from_value(n, key)?)))
+            .collect()
+    }
+}
+
+/// A list: dims and node sets (a bad element is the list's fault), or
+/// objects (a bad element reports its own member).
+impl<C: Codec> Codec for Vec<C> {
+    type Item = Vec<C::Item>;
+
+    fn to_value(items: &Self::Item) -> Value {
+        Value::Arr(items.iter().map(C::to_value).collect())
+    }
+
+    fn from_value(v: &Value, key: &str) -> Result<Self::Item, ProtocolError> {
+        let items = v.as_arr().ok_or_else(|| missing(key))?;
+        items.iter().map(|item| C::from_value(item, key)).collect()
+    }
+}
+
+/// A nested object.
+impl<T: Object> Codec for T {
+    type Item = T;
+
+    fn to_value(item: &T) -> Value {
+        object_value(item)
+    }
+
+    fn from_value(v: &Value, _key: &str) -> Result<T, ProtocolError> {
+        T::get(v)
+    }
+}
+
+/// Omitted when `None`; absent or `null` reads as `None`.
+impl<C: Codec> Codec for Option<C> {
+    type Item = Option<C::Item>;
+
+    fn to_value(item: &Self::Item) -> Value {
+        item.as_ref().map_or(Value::Null, C::to_value)
+    }
+
+    fn from_value(v: &Value, key: &str) -> Result<Self::Item, ProtocolError> {
+        match v {
+            Value::Null => Ok(None),
+            v => C::from_value(v, key).map(Some),
+        }
+    }
+
+    fn write(item: &Self::Item, key: &'static str, obj: &mut Map) {
+        if let Some(item) = item {
+            C::write(item, key, obj);
+        }
+    }
+
+    fn read(holder: &Value, key: &str) -> Result<Self::Item, ProtocolError> {
+        holder
+            .get(key)
+            .map_or(Ok(None), |v| Self::from_value(v, key))
+    }
+}
+
+/// A member that may be omitted: absent reads as empty.
+struct OrEmpty<C>(PhantomData<C>);
+
+impl<C: Codec<Item: Default>> Codec for OrEmpty<C> {
+    type Item = C::Item;
+
+    fn to_value(item: &Self::Item) -> Value {
+        C::to_value(item)
+    }
+
+    fn from_value(v: &Value, key: &str) -> Result<Self::Item, ProtocolError> {
+        C::from_value(v, key)
+    }
+
+    fn read(holder: &Value, key: &str) -> Result<Self::Item, ProtocolError> {
+        holder
+            .get(key)
+            .map_or(Ok(C::Item::default()), |v| C::from_value(v, key))
+    }
+}
+
+/// An object whose members sit in the holder itself rather than under the
+/// key (the key is unused).
+struct Flat<T>(PhantomData<T>);
+
+impl<T: Object> Codec for Flat<T> {
+    type Item = T;
+
+    fn to_value(item: &T) -> Value {
+        object_value(item)
+    }
+
+    fn from_value(v: &Value, _key: &str) -> Result<T, ProtocolError> {
+        T::get(v)
+    }
+
+    fn write(item: &T, _key: &'static str, obj: &mut Map) {
+        item.put(obj);
+    }
+
+    fn read(holder: &Value, _key: &str) -> Result<T, ProtocolError> {
+        T::get(holder)
+    }
+}
+
+/// A sweep summary's lines, with the derived counts beside them: `total`
+/// lines, of which `ok` have status `ok` (written, never read back).
+struct Summary<L>(PhantomData<L>);
+
+impl<L: Object> Codec for Summary<L> {
+    type Item = Vec<L>;
+
+    fn to_value(lines: &Vec<L>) -> Value {
+        <Vec<L>>::to_value(lines)
+    }
+
+    fn from_value(v: &Value, key: &str) -> Result<Vec<L>, ProtocolError> {
+        <Vec<L>>::from_value(v, key)
+    }
+
+    fn write(lines: &Vec<L>, key: &'static str, obj: &mut Map) {
+        let lines: Vec<Value> = lines.iter().map(object_value).collect();
+        let ok = lines.iter().filter(|line| tag(line, "status") == Ok("ok"));
+        obj.insert("ok".to_string(), Value::from(ok.count()));
+        obj.insert("total".to_string(), Value::from(lines.len()));
+        obj.insert(key.to_string(), Value::Arr(lines));
+    }
+}
+
+/// A struct's table: `Type { member: Codec, ... }`, members in decode order.
+macro_rules! object {
+    ($($ty:ty { $($field:ident: $codec:ty),* $(,)? })*) => {$(
+        impl Object for $ty {
+            fn put(&self, obj: &mut Map) {
+                $(<$codec as Codec>::write(&self.$field, stringify!($field), obj);)*
             }
-            Ok(TopologySpec::Torus(dims))
-        }
-        "hypercube" => {
-            arity(1)?;
-            let d = u32::try_from(dims[0])
-                .map_err(|_| ProtocolError("hypercube dimension out of range".into()))?;
-            Ok(TopologySpec::Hypercube(d))
-        }
-        "dragonfly" => {
-            arity(3)?;
-            Ok(TopologySpec::Dragonfly(dims[0], dims[1], dims[2]))
-        }
-        "fattree" => {
-            arity(1)?;
-            Ok(TopologySpec::FatTree(dims[0]))
-        }
-        "hyperx" => {
-            if dims.is_empty() || dims.contains(&0) {
-                return Err(ProtocolError(
-                    "hyperx dims must be non-empty and positive".into(),
-                ));
-            }
-            Ok(TopologySpec::HyperX(dims))
-        }
-        "slimfly" => {
-            arity(1)?;
-            Ok(TopologySpec::SlimFly(dims[0]))
-        }
-        "expander" => {
-            if dims.len() < 2 {
-                return Err(ProtocolError(
-                    "expander expects dims = [nodes, skip...]".into(),
-                ));
-            }
-            Ok(TopologySpec::Expander(dims[0], dims[1..].to_vec()))
-        }
-        other => Err(ProtocolError(format!("unknown topology family '{other}'"))),
-    }
-}
 
-fn routing_to_value(spec: &RoutingSpec) -> Value {
-    match spec {
-        RoutingSpec::DimensionOrdered => Value::obj([("kind", Value::from("dor"))]),
-        RoutingSpec::ShortestPath => Value::obj([("kind", Value::from("shortest"))]),
-        RoutingSpec::Ecmp { salt } => Value::obj([
-            ("kind", Value::from("ecmp")),
-            ("salt", Value::from(salt.to_string())),
-        ]),
-        RoutingSpec::Valiant { seed } => Value::obj([
-            ("kind", Value::from("valiant")),
-            ("seed", Value::from(seed.to_string())),
-        ]),
-    }
-}
-
-fn routing_from_value(v: &Value) -> Result<RoutingSpec, ProtocolError> {
-    match get_str(v, "kind")?.as_str() {
-        "dor" => Ok(RoutingSpec::DimensionOrdered),
-        "shortest" => Ok(RoutingSpec::ShortestPath),
-        "ecmp" => Ok(RoutingSpec::Ecmp {
-            salt: get_u64(v, "salt")?,
-        }),
-        "valiant" => Ok(RoutingSpec::Valiant {
-            seed: get_u64(v, "seed")?,
-        }),
-        other => Err(ProtocolError(format!("unknown routing kind '{other}'"))),
-    }
-}
-
-fn allocator_pairs(allocator: &AllocatorSpec, pairs: &mut Vec<(&'static str, Value)>) {
-    match allocator {
-        AllocatorSpec::Compact => pairs.push(("allocator", Value::from("compact"))),
-        AllocatorSpec::Scatter(stride) => {
-            pairs.push(("allocator", Value::from("scatter")));
-            pairs.push(("stride", Value::from(*stride)));
-        }
-    }
-}
-
-fn allocator_from_value(v: &Value) -> Result<AllocatorSpec, ProtocolError> {
-    match get_str(v, "allocator")?.as_str() {
-        "compact" => Ok(AllocatorSpec::Compact),
-        "scatter" => Ok(AllocatorSpec::Scatter(match v.get("stride") {
-            None => 7,
-            Some(s) => s.as_usize().ok_or_else(|| missing("stride"))?,
-        })),
-        other => Err(ProtocolError(format!("unknown allocator '{other}'"))),
-    }
-}
-
-fn policy_pairs(policy: &PolicySpec, pairs: &mut Vec<(&'static str, Value)>) {
-    match policy {
-        PolicySpec::Worst => pairs.push(("policy", Value::from("worst"))),
-        PolicySpec::Best => pairs.push(("policy", Value::from("best"))),
-        PolicySpec::HintAware(tol) => {
-            pairs.push(("policy", Value::from("hint_aware")));
-            pairs.push(("tolerance", Value::from(*tol)));
-        }
-    }
-}
-
-fn policy_from_value(v: &Value) -> Result<PolicySpec, ProtocolError> {
-    match get_str(v, "policy")?.as_str() {
-        "worst" => Ok(PolicySpec::Worst),
-        "best" => Ok(PolicySpec::Best),
-        "hint_aware" => Ok(PolicySpec::HintAware(get_f64(v, "tolerance")?)),
-        other => Err(ProtocolError(format!("unknown policy '{other}'"))),
-    }
-}
-
-fn traffic_to_value(spec: &TrafficSpec) -> Value {
-    match spec {
-        TrafficSpec::BisectionPairing {
-            rounds,
-            warmup_rounds,
-            round_gigabytes,
-        } => Value::obj([
-            ("kind", Value::from("pairing")),
-            ("rounds", Value::from(*rounds)),
-            ("warmup_rounds", Value::from(*warmup_rounds)),
-            ("round_gigabytes", Value::from(*round_gigabytes)),
-        ]),
-        TrafficSpec::AllToAll { gigabytes } => Value::obj([
-            ("kind", Value::from("all_to_all")),
-            ("gigabytes", Value::from(*gigabytes)),
-        ]),
-        TrafficSpec::RandomPermutation { gigabytes } => Value::obj([
-            ("kind", Value::from("permutation")),
-            ("gigabytes", Value::from(*gigabytes)),
-        ]),
-        TrafficSpec::JobTrace {
-            jobs,
-            max_nodes,
-            mean_gap,
-            gigabytes,
-            allocator,
-        } => {
-            let mut pairs = vec![
-                ("kind", Value::from("job_trace")),
-                ("jobs", Value::from(*jobs)),
-                ("max_nodes", Value::from(*max_nodes)),
-                ("mean_gap", Value::from(*mean_gap)),
-                ("gigabytes", Value::from(*gigabytes)),
-            ];
-            allocator_pairs(allocator, &mut pairs);
-            Value::obj(pairs)
-        }
-        TrafficSpec::SchedulerTrace {
-            machine,
-            jobs,
-            policy,
-        } => {
-            let mut pairs = vec![
-                ("kind", Value::from("sched_trace")),
-                ("machine", Value::from(machine.as_str())),
-                ("jobs", Value::from(*jobs)),
-            ];
-            policy_pairs(policy, &mut pairs);
-            Value::obj(pairs)
-        }
-    }
-}
-
-fn traffic_from_value(v: &Value) -> Result<TrafficSpec, ProtocolError> {
-    match get_str(v, "kind")?.as_str() {
-        "pairing" => Ok(TrafficSpec::BisectionPairing {
-            rounds: get_usize(v, "rounds")?,
-            warmup_rounds: get_usize(v, "warmup_rounds")?,
-            round_gigabytes: get_f64(v, "round_gigabytes")?,
-        }),
-        "all_to_all" => Ok(TrafficSpec::AllToAll {
-            gigabytes: get_f64(v, "gigabytes")?,
-        }),
-        "permutation" => Ok(TrafficSpec::RandomPermutation {
-            gigabytes: get_f64(v, "gigabytes")?,
-        }),
-        "job_trace" => Ok(TrafficSpec::JobTrace {
-            jobs: get_usize(v, "jobs")?,
-            max_nodes: get_usize(v, "max_nodes")?,
-            mean_gap: get_f64(v, "mean_gap")?,
-            gigabytes: get_f64(v, "gigabytes")?,
-            allocator: allocator_from_value(v)?,
-        }),
-        "sched_trace" => Ok(TrafficSpec::SchedulerTrace {
-            machine: get_str(v, "machine")?,
-            jobs: get_usize(v, "jobs")?,
-            policy: policy_from_value(v)?,
-        }),
-        other => Err(ProtocolError(format!("unknown traffic kind '{other}'"))),
-    }
-}
-
-fn scenario_to_value(spec: &ScenarioSpec) -> Value {
-    Value::obj([
-        ("topology", topology_to_value(&spec.topology)),
-        ("routing", routing_to_value(&spec.routing)),
-        ("traffic", traffic_to_value(&spec.traffic)),
-        ("seed", Value::from(spec.seed.to_string())),
-    ])
-}
-
-fn scenario_from_value(v: &Value) -> Result<ScenarioSpec, ProtocolError> {
-    Ok(ScenarioSpec {
-        topology: topology_from_value(v.get("topology").ok_or_else(|| missing("topology"))?)?,
-        routing: routing_from_value(v.get("routing").ok_or_else(|| missing("routing"))?)?,
-        traffic: traffic_from_value(v.get("traffic").ok_or_else(|| missing("traffic"))?)?,
-        seed: get_u64(v, "seed")?,
-    })
-}
-
-fn candidate_to_value(spec: &AllocationSpec) -> Value {
-    match spec {
-        AllocationSpec::TorusBlocks => Value::obj([("kind", Value::from("torus_blocks"))]),
-        AllocationSpec::Blocked => Value::obj([("kind", Value::from("blocked"))]),
-        AllocationSpec::Greedy => Value::obj([("kind", Value::from("greedy"))]),
-        AllocationSpec::Scatter { stride } => Value::obj([
-            ("kind", Value::from("scatter")),
-            ("stride", Value::from(*stride)),
-        ]),
-        AllocationSpec::Random { samples } => Value::obj([
-            ("kind", Value::from("random")),
-            ("samples", Value::from(*samples)),
-        ]),
-    }
-}
-
-fn candidate_from_value(v: &Value) -> Result<AllocationSpec, ProtocolError> {
-    match get_str(v, "kind")?.as_str() {
-        "torus_blocks" => Ok(AllocationSpec::TorusBlocks),
-        "blocked" => Ok(AllocationSpec::Blocked),
-        "greedy" => Ok(AllocationSpec::Greedy),
-        "scatter" => Ok(AllocationSpec::Scatter {
-            stride: get_usize(v, "stride")?,
-        }),
-        "random" => Ok(AllocationSpec::Random {
-            samples: get_usize(v, "samples")?,
-        }),
-        other => Err(ProtocolError(format!(
-            "unknown candidate generator '{other}'"
-        ))),
-    }
-}
-
-fn advice_spec_to_value(spec: &AdviceSpec) -> Value {
-    Value::obj([
-        ("topology", topology_to_value(&spec.topology)),
-        ("routing", routing_to_value(&spec.routing)),
-        ("nodes", Value::from(spec.nodes)),
-        ("gigabytes", Value::from(spec.gigabytes)),
-        (
-            "candidates",
-            Value::Arr(spec.candidates.iter().map(candidate_to_value).collect()),
-        ),
-        ("seed", Value::from(spec.seed.to_string())),
-    ])
-}
-
-fn advice_spec_from_value(v: &Value) -> Result<AdviceSpec, ProtocolError> {
-    let candidates = v
-        .get("candidates")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| missing("candidates"))?
-        .iter()
-        .map(candidate_from_value)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(AdviceSpec {
-        topology: topology_from_value(v.get("topology").ok_or_else(|| missing("topology"))?)?,
-        routing: routing_from_value(v.get("routing").ok_or_else(|| missing("routing"))?)?,
-        nodes: get_usize(v, "nodes")?,
-        gigabytes: get_f64(v, "gigabytes")?,
-        candidates,
-        seed: get_u64(v, "seed")?,
-    })
-}
-
-fn candidate_result_to_value(c: &CandidateResult) -> Value {
-    Value::obj([
-        ("label", Value::from(c.label.as_str())),
-        ("nodes", Value::from(c.nodes.clone())),
-        ("bound_seconds", Value::from(c.bound_seconds)),
-        ("simulated_seconds", Value::from(c.simulated_seconds)),
-        ("gap", Value::from(c.gap)),
-        ("cut_gbs", Value::from(c.cut_gbs)),
-        (
-            "internal_bisection_gbs",
-            Value::from(c.internal_bisection_gbs),
-        ),
-        ("closed_form", Value::from(c.closed_form)),
-        ("solves", Value::from(c.solves)),
-    ])
-}
-
-fn candidate_result_from_value(v: &Value) -> Result<CandidateResult, ProtocolError> {
-    Ok(CandidateResult {
-        label: get_str(v, "label")?,
-        nodes: get_dims(v, "nodes")?,
-        bound_seconds: get_f64(v, "bound_seconds")?,
-        simulated_seconds: get_f64(v, "simulated_seconds")?,
-        gap: get_f64(v, "gap")?,
-        cut_gbs: get_f64(v, "cut_gbs")?,
-        internal_bisection_gbs: get_f64(v, "internal_bisection_gbs")?,
-        closed_form: v
-            .get("closed_form")
-            .and_then(Value::as_bool)
-            .ok_or_else(|| missing("closed_form"))?,
-        solves: get_usize(v, "solves")?,
-    })
-}
-
-fn advice_result_to_value(r: &AdviceResult) -> Value {
-    Value::obj([
-        ("label", Value::from(r.label.as_str())),
-        ("fabric", Value::from(r.fabric.as_str())),
-        ("nodes", Value::from(r.nodes)),
-        (
-            "candidates",
-            Value::Arr(r.candidates.iter().map(candidate_result_to_value).collect()),
-        ),
-        ("ordering_agreement", Value::from(r.ordering_agreement)),
-        ("truncated", Value::from(r.truncated)),
-    ])
-}
-
-fn advice_result_from_value(v: &Value) -> Result<AdviceResult, ProtocolError> {
-    let candidates = v
-        .get("candidates")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| missing("candidates"))?
-        .iter()
-        .map(candidate_result_from_value)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(AdviceResult {
-        label: get_str(v, "label")?,
-        fabric: get_str(v, "fabric")?,
-        nodes: get_usize(v, "nodes")?,
-        candidates,
-        ordering_agreement: get_f64(v, "ordering_agreement")?,
-        truncated: v
-            .get("truncated")
-            .and_then(Value::as_bool)
-            .ok_or_else(|| missing("truncated"))?,
-    })
-}
-
-fn patch_to_value(patch: &FabricPatch) -> Value {
-    Value::obj([
-        (
-            "links",
-            Value::Arr(
-                patch
-                    .links
-                    .iter()
-                    .map(|l| {
-                        Value::obj([
-                            ("a", Value::from(l.a)),
-                            ("b", Value::from(l.b)),
-                            ("scale", Value::from(l.scale)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "nodes",
-            Value::Arr(
-                patch
-                    .nodes
-                    .iter()
-                    .map(|n| {
-                        Value::obj([
-                            ("node", Value::from(n.node)),
-                            ("scale", Value::from(n.scale)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn patch_from_value(v: &Value) -> Result<FabricPatch, ProtocolError> {
-    // Either entry list may be omitted on the wire; an empty patch is legal
-    // (it re-answers the spec unchanged).
-    let links = match v.get("links") {
-        None => Vec::new(),
-        Some(arr) => arr
-            .as_arr()
-            .ok_or_else(|| missing("links"))?
-            .iter()
-            .map(|l| {
-                Ok(LinkPatch {
-                    a: get_usize(l, "a")?,
-                    b: get_usize(l, "b")?,
-                    scale: get_f64(l, "scale")?,
+            fn get(v: &Value) -> Result<Self, ProtocolError> {
+                Ok(Self {
+                    $($field: <$codec as Codec>::read(v, stringify!($field))?,)*
                 })
-            })
-            .collect::<Result<Vec<_>, ProtocolError>>()?,
-    };
-    let nodes = match v.get("nodes") {
-        None => Vec::new(),
-        Some(arr) => arr
-            .as_arr()
-            .ok_or_else(|| missing("nodes"))?
-            .iter()
-            .map(|n| {
-                Ok(NodePatch {
-                    node: get_usize(n, "node")?,
-                    scale: get_f64(n, "scale")?,
+            }
+        }
+    )*};
+}
+
+/// An enum's table: `Type by "tag", "unknown-tag message" { ... }`, one
+/// line per variant: `"name" => Variant`, then its members in decode order
+/// as `{ member: Codec, ... }` or `(member: Codec, ...)`, then any constant
+/// members it writes as `["key": "value"]`.
+macro_rules! tagged {
+    ($($ty:ident by $tag:literal, $unknown:literal {
+        $($name:literal => $variant:ident
+            $({ $($field:ident: $codec:ty),* })?
+            $(( $($pfield:ident: $pcodec:ty),* ))?
+            $([ $($ckey:literal: $cvalue:literal),* ])?
+        ),* $(,)?
+    })*) => {$(
+        impl Object for $ty {
+            fn put(&self, obj: &mut Map) {
+                let name = match self {
+                    $(Self::$variant $({ $($field),* })? $(( $($pfield),* ))? => {
+                        $($(<$codec as Codec>::write($field, stringify!($field), obj);)*)?
+                        $($(<$pcodec as Codec>::write($pfield, stringify!($pfield), obj);)*)?
+                        $($(obj.insert($ckey.to_string(), Value::from($cvalue));)*)?
+                        $name
+                    })*
+                };
+                obj.insert($tag.to_string(), Value::from(name));
+            }
+
+            fn get(v: &Value) -> Result<Self, ProtocolError> {
+                Ok(match tag(v, $tag)? {
+                    $($name => Self::$variant
+                        $({ $($field: <$codec as Codec>::read(v, stringify!($field))?),* })?
+                        $(( $(<$pcodec as Codec>::read(v, stringify!($pfield))?),* ))?,
+                    )*
+                    other => {
+                        return Err(ProtocolError(format!(concat!($unknown, " '{}'"), other)))
+                    }
                 })
-            })
-            .collect::<Result<Vec<_>, ProtocolError>>()?,
-    };
-    Ok(FabricPatch { links, nodes })
+            }
+        }
+    )*};
+}
+
+impl Object for TopologySpec {
+    fn put(&self, obj: &mut Map) {
+        obj.insert("family".to_string(), Value::from(self.family()));
+        obj.insert("dims".to_string(), Value::from(self.dims()));
+    }
+
+    fn get(v: &Value) -> Result<Self, ProtocolError> {
+        let family = tag(v, "family")?;
+        let dims = <Vec<usize>>::read(v, "dims")?;
+        let arity = |n: usize| {
+            if dims.len() == n {
+                Ok(())
+            } else {
+                Err(ProtocolError(format!(
+                    "family '{family}' expects {n} dims, got {}",
+                    dims.len()
+                )))
+            }
+        };
+        let positive = |dims: Vec<usize>| {
+            if dims.is_empty() || dims.contains(&0) {
+                Err(ProtocolError(format!(
+                    "{family} dims must be non-empty and positive"
+                )))
+            } else {
+                Ok(dims)
+            }
+        };
+        match family {
+            "torus" => Ok(TopologySpec::Torus(positive(dims)?)),
+            "hypercube" => {
+                arity(1)?;
+                let d = u32::try_from(dims[0])
+                    .map_err(|_| ProtocolError("hypercube dimension out of range".into()))?;
+                Ok(TopologySpec::Hypercube(d))
+            }
+            "dragonfly" => {
+                arity(3)?;
+                Ok(TopologySpec::Dragonfly(dims[0], dims[1], dims[2]))
+            }
+            "fattree" => {
+                arity(1)?;
+                Ok(TopologySpec::FatTree(dims[0]))
+            }
+            "hyperx" => Ok(TopologySpec::HyperX(positive(dims)?)),
+            "slimfly" => {
+                arity(1)?;
+                Ok(TopologySpec::SlimFly(dims[0]))
+            }
+            "expander" => {
+                if dims.len() < 2 {
+                    return Err(ProtocolError(
+                        "expander expects dims = [nodes, skip...]".into(),
+                    ));
+                }
+                Ok(TopologySpec::Expander(dims[0], dims[1..].to_vec()))
+            }
+            other => Err(ProtocolError(format!("unknown topology family '{other}'"))),
+        }
+    }
+}
+
+impl Object for AllocatorSpec {
+    fn put(&self, obj: &mut Map) {
+        let name = match self {
+            AllocatorSpec::Compact => "compact",
+            AllocatorSpec::Scatter(stride) => {
+                usize::write(stride, "stride", obj);
+                "scatter"
+            }
+        };
+        obj.insert("allocator".to_string(), Value::from(name));
+    }
+
+    fn get(v: &Value) -> Result<Self, ProtocolError> {
+        match tag(v, "allocator")? {
+            "compact" => Ok(AllocatorSpec::Compact),
+            // A scatter without a stride takes 7 (an explicit null is
+            // refused, not defaulted).
+            "scatter" => Ok(AllocatorSpec::Scatter(match v.get("stride") {
+                None => 7,
+                Some(stride) => usize::from_value(stride, "stride")?,
+            })),
+            other => Err(ProtocolError(format!("unknown allocator '{other}'"))),
+        }
+    }
+}
+
+object! {
+    ScenarioSpec { topology: TopologySpec, routing: RoutingSpec, traffic: TrafficSpec, seed: Exact }
+    AdviceSpec {
+        candidates: Vec<AllocationSpec>,
+        topology: TopologySpec,
+        routing: RoutingSpec,
+        nodes: usize,
+        gigabytes: f64,
+        seed: Exact,
+    }
+    CandidateResult {
+        label: String,
+        nodes: Vec<usize>,
+        bound_seconds: f64,
+        simulated_seconds: f64,
+        gap: f64,
+        cut_gbs: f64,
+        internal_bisection_gbs: f64,
+        closed_form: bool,
+        solves: usize,
+    }
+    AdviceResult {
+        candidates: Vec<CandidateResult>,
+        label: String,
+        fabric: String,
+        nodes: usize,
+        ordering_agreement: f64,
+        truncated: bool,
+    }
+    FabricPatch { links: OrEmpty<Vec<LinkPatch>>, nodes: OrEmpty<Vec<NodePatch>> }
+    LinkPatch { a: usize, b: usize, scale: f64 }
+    NodePatch { node: usize, scale: f64 }
+    FlowSpec { src: usize, dst: usize, gigabytes: f64 }
+}
+
+tagged! {
+    RoutingSpec by "kind", "unknown routing kind" {
+        "dor" => DimensionOrdered,
+        "shortest" => ShortestPath,
+        "ecmp" => Ecmp { salt: Exact },
+        "valiant" => Valiant { seed: Exact },
+    }
+    TrafficSpec by "kind", "unknown traffic kind" {
+        "pairing" => BisectionPairing { rounds: usize, warmup_rounds: usize, round_gigabytes: f64 },
+        "all_to_all" => AllToAll { gigabytes: f64 },
+        "permutation" => RandomPermutation { gigabytes: f64 },
+        "job_trace" => JobTrace {
+            jobs: usize,
+            max_nodes: usize,
+            mean_gap: f64,
+            gigabytes: f64,
+            allocator: Flat<AllocatorSpec>
+        },
+        "sched_trace" => SchedulerTrace { machine: String, jobs: usize, policy: Flat<PolicySpec> },
+    }
+    AllocationSpec by "kind", "unknown candidate generator" {
+        "torus_blocks" => TorusBlocks,
+        "blocked" => Blocked,
+        "greedy" => Greedy,
+        "scatter" => Scatter { stride: usize },
+        "random" => Random { samples: usize },
+    }
+    PolicySpec by "policy", "unknown policy" {
+        "worst" => Worst,
+        "best" => Best,
+        "hint_aware" => HintAware(tolerance: f64),
+    }
 }
 
 /// A kernel for [`Request::Advise`], mirroring `netpart_contention::Kernel`.
@@ -535,75 +533,13 @@ pub enum KernelSpec {
     Custom(f64, f64),
 }
 
-impl KernelSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            KernelSpec::ClassicalMatmul(n) => Value::obj([
-                ("name", Value::from("classical_matmul")),
-                ("n", Value::from(*n)),
-            ]),
-            KernelSpec::StrassenMatmul(n) => Value::obj([
-                ("name", Value::from("strassen_matmul")),
-                ("n", Value::from(*n)),
-            ]),
-            KernelSpec::DirectNBody(b) => Value::obj([
-                ("name", Value::from("direct_nbody")),
-                ("n", Value::from(*b)),
-            ]),
-            KernelSpec::Fft(n) => {
-                Value::obj([("name", Value::from("fft")), ("n", Value::from(*n))])
-            }
-            KernelSpec::Custom(words, flops) => Value::obj([
-                ("name", Value::from("custom")),
-                ("words_per_proc", Value::from(*words)),
-                ("flops_per_proc", Value::from(*flops)),
-            ]),
-        }
-    }
-
-    fn from_value(v: &Value) -> Result<Self, ProtocolError> {
-        let name = get_str(v, "name")?;
-        let n = || get_usize(v, "n").map(|n| n as u64);
-        match name.as_str() {
-            "classical_matmul" => Ok(KernelSpec::ClassicalMatmul(n()?)),
-            "strassen_matmul" => Ok(KernelSpec::StrassenMatmul(n()?)),
-            "direct_nbody" => Ok(KernelSpec::DirectNBody(n()?)),
-            "fft" => Ok(KernelSpec::Fft(n()?)),
-            "custom" => Ok(KernelSpec::Custom(
-                get_f64(v, "words_per_proc")?,
-                get_f64(v, "flops_per_proc")?,
-            )),
-            other => Err(ProtocolError(format!("unknown kernel '{other}'"))),
-        }
-    }
-}
-
-/// One point-to-point flow of [`Request::SimulateFlows`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlowSpec {
-    /// Source node.
-    pub src: usize,
-    /// Destination node.
-    pub dst: usize,
-    /// Volume in gigabytes.
-    pub gigabytes: f64,
-}
-
-impl FlowSpec {
-    fn to_value(self) -> Value {
-        Value::obj([
-            ("src", Value::from(self.src)),
-            ("dst", Value::from(self.dst)),
-            ("gigabytes", Value::from(self.gigabytes)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, ProtocolError> {
-        Ok(FlowSpec {
-            src: get_usize(v, "src")?,
-            dst: get_usize(v, "dst")?,
-            gigabytes: get_f64(v, "gigabytes")?,
-        })
+tagged! {
+    KernelSpec by "name", "unknown kernel" {
+        "classical_matmul" => ClassicalMatmul(n: u64),
+        "strassen_matmul" => StrassenMatmul(n: u64),
+        "direct_nbody" => DirectNBody(n: u64),
+        "fft" => Fft(n: u64),
+        "custom" => Custom(words_per_proc: f64, flops_per_proc: f64),
     }
 }
 
@@ -710,6 +646,35 @@ pub enum Request {
     Shutdown,
 }
 
+tagged! {
+    Request by "type", "unknown request type" {
+        "advise" => Advise { machine: String, size: usize, kernel: Option<KernelSpec> },
+        "bisection" => Bisection { topology: String, dims: Vec<usize> },
+        "simulate_flows" => SimulateFlows { flows: Vec<FlowSpec>, topology: TopologySpec },
+        "cluster_sim" => ClusterSim {
+            topology: TopologySpec,
+            jobs: usize,
+            max_nodes: usize,
+            mean_gap: f64,
+            gigabytes: f64,
+            allocator: Flat<AllocatorSpec>
+        },
+        "policy_sim" => PolicySim {
+            machine: String,
+            jobs: usize,
+            seed: Exact,
+            policy: Flat<PolicySpec>
+        },
+        "sweep" => Sweep { scenarios: Vec<ScenarioSpec> },
+        "advise_fabric" => AdviseFabric { spec: Flat<AdviceSpec> },
+        "allocation_sweep" => AllocationSweep { specs: Vec<AdviceSpec> },
+        "readvise" => Readvise { spec: Flat<AdviceSpec>, patch: FabricPatch },
+        "health" => Health,
+        "stats" => Stats,
+        "shutdown" => Shutdown,
+    }
+}
+
 impl Request {
     /// Wire name of the request kind (also the metrics label).
     pub fn kind(&self) -> &'static str {
@@ -742,107 +707,7 @@ impl Request {
 
     /// Encode to a JSON document.
     pub fn to_value(&self) -> Value {
-        match self {
-            Request::Advise {
-                machine,
-                size,
-                kernel,
-            } => {
-                let mut pairs = vec![
-                    ("type", Value::from("advise")),
-                    ("machine", Value::from(machine.as_str())),
-                    ("size", Value::from(*size)),
-                ];
-                if let Some(k) = kernel {
-                    pairs.push(("kernel", k.to_value()));
-                }
-                Value::obj(pairs)
-            }
-            Request::Bisection { topology, dims } => Value::obj([
-                ("type", Value::from("bisection")),
-                ("topology", Value::from(topology.as_str())),
-                ("dims", Value::from(dims.clone())),
-            ]),
-            Request::SimulateFlows { topology, flows } => Value::obj([
-                ("type", Value::from("simulate_flows")),
-                ("topology", topology_to_value(topology)),
-                (
-                    "flows",
-                    Value::Arr(flows.iter().copied().map(FlowSpec::to_value).collect()),
-                ),
-            ]),
-            Request::Sweep { scenarios } => Value::obj([
-                ("type", Value::from("sweep")),
-                (
-                    "scenarios",
-                    Value::Arr(scenarios.iter().map(scenario_to_value).collect()),
-                ),
-            ]),
-            Request::AdviseFabric { spec } => {
-                // The spec's fields live at the top level, like cluster_sim.
-                let Value::Obj(mut fields) = advice_spec_to_value(spec) else {
-                    unreachable!("advice specs encode as objects");
-                };
-                fields.insert("type".to_string(), Value::from("advise_fabric"));
-                Value::Obj(fields)
-            }
-            Request::AllocationSweep { specs } => Value::obj([
-                ("type", Value::from("allocation_sweep")),
-                (
-                    "specs",
-                    Value::Arr(specs.iter().map(advice_spec_to_value).collect()),
-                ),
-            ]),
-            Request::Readvise { spec, patch } => {
-                // Spec fields at the top level like advise_fabric, so a
-                // readvise line is an advise_fabric line plus a patch.
-                let Value::Obj(mut fields) = advice_spec_to_value(spec) else {
-                    unreachable!("advice specs encode as objects");
-                };
-                fields.insert("type".to_string(), Value::from("readvise"));
-                fields.insert("patch".to_string(), patch_to_value(patch));
-                Value::Obj(fields)
-            }
-            Request::ClusterSim {
-                topology,
-                jobs,
-                max_nodes,
-                mean_gap,
-                gigabytes,
-                allocator,
-            } => {
-                let mut pairs = vec![
-                    ("type", Value::from("cluster_sim")),
-                    ("topology", topology_to_value(topology)),
-                    ("jobs", Value::from(*jobs)),
-                    ("max_nodes", Value::from(*max_nodes)),
-                    ("mean_gap", Value::from(*mean_gap)),
-                    ("gigabytes", Value::from(*gigabytes)),
-                ];
-                allocator_pairs(allocator, &mut pairs);
-                Value::obj(pairs)
-            }
-            Request::PolicySim {
-                machine,
-                jobs,
-                seed,
-                policy,
-            } => {
-                let mut pairs = vec![
-                    ("type", Value::from("policy_sim")),
-                    ("machine", Value::from(machine.as_str())),
-                    ("jobs", Value::from(*jobs)),
-                    // As a string: JSON numbers are f64, which would silently
-                    // round seeds above 2^53.
-                    ("seed", Value::from(seed.to_string())),
-                ];
-                policy_pairs(policy, &mut pairs);
-                Value::obj(pairs)
-            }
-            Request::Health => Value::obj([("type", Value::from("health"))]),
-            Request::Stats => Value::obj([("type", Value::from("stats"))]),
-            Request::Shutdown => Value::obj([("type", Value::from("shutdown"))]),
-        }
+        object_value(self)
     }
 
     /// Decode from a JSON document.
@@ -850,83 +715,7 @@ impl Request {
         if v.as_obj().is_none() {
             return Err(ProtocolError("request must be a JSON object".into()));
         }
-        let kind = get_str(v, "type")?;
-        match kind.as_str() {
-            "advise" => Ok(Request::Advise {
-                machine: get_str(v, "machine")?,
-                size: get_usize(v, "size")?,
-                kernel: match v.get("kernel") {
-                    None | Some(Value::Null) => None,
-                    Some(k) => Some(KernelSpec::from_value(k)?),
-                },
-            }),
-            "bisection" => Ok(Request::Bisection {
-                topology: get_str(v, "topology")?,
-                dims: get_dims(v, "dims")?,
-            }),
-            "simulate_flows" => {
-                let flows = v
-                    .get("flows")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| missing("flows"))?
-                    .iter()
-                    .map(FlowSpec::from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::SimulateFlows {
-                    topology: topology_from_value(
-                        v.get("topology").ok_or_else(|| missing("topology"))?,
-                    )?,
-                    flows,
-                })
-            }
-            "cluster_sim" => Ok(Request::ClusterSim {
-                topology: topology_from_value(
-                    v.get("topology").ok_or_else(|| missing("topology"))?,
-                )?,
-                jobs: get_usize(v, "jobs")?,
-                max_nodes: get_usize(v, "max_nodes")?,
-                mean_gap: get_f64(v, "mean_gap")?,
-                gigabytes: get_f64(v, "gigabytes")?,
-                allocator: allocator_from_value(v)?,
-            }),
-            "policy_sim" => Ok(Request::PolicySim {
-                machine: get_str(v, "machine")?,
-                jobs: get_usize(v, "jobs")?,
-                seed: get_u64(v, "seed")?,
-                policy: policy_from_value(v)?,
-            }),
-            "sweep" => {
-                let scenarios = v
-                    .get("scenarios")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| missing("scenarios"))?
-                    .iter()
-                    .map(scenario_from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::Sweep { scenarios })
-            }
-            "advise_fabric" => Ok(Request::AdviseFabric {
-                spec: advice_spec_from_value(v)?,
-            }),
-            "allocation_sweep" => {
-                let specs = v
-                    .get("specs")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| missing("specs"))?
-                    .iter()
-                    .map(advice_spec_from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::AllocationSweep { specs })
-            }
-            "readvise" => Ok(Request::Readvise {
-                spec: advice_spec_from_value(v)?,
-                patch: patch_from_value(v.get("patch").ok_or_else(|| missing("patch"))?)?,
-            }),
-            "health" => Ok(Request::Health),
-            "stats" => Ok(Request::Stats),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(ProtocolError(format!("unknown request type '{other}'"))),
-        }
+        Request::get(v)
     }
 
     /// Decode a request line. Parse failures and shape failures both come
@@ -1037,31 +826,109 @@ impl StatsSnapshot {
     }
 }
 
-/// Encode a sorted `(kind, count)` list as a JSON object.
-fn kind_counts_to_value(counts: &[(String, u64)]) -> Value {
-    Value::Obj(
-        counts
-            .iter()
-            .map(|(k, n)| (k.clone(), Value::from(*n)))
-            .collect(),
-    )
+impl Object for StatsSnapshot {
+    fn put(&self, obj: &mut Map) {
+        let members = [
+            ("uptime_seconds", Value::from(self.uptime_seconds)),
+            ("requests_total", Value::from(self.requests_total)),
+            ("requests_by_kind", Counts::to_value(&self.requests_by_kind)),
+            ("coalesced", Value::from(self.coalesced)),
+            (
+                "cache",
+                Value::obj([
+                    ("hits", Value::from(self.cache_hits)),
+                    ("misses", Value::from(self.cache_misses)),
+                    ("entries", Value::from(self.cache_entries)),
+                    ("hit_rate", Value::from(self.hit_rate())),
+                    ("hits_by_kind", Counts::to_value(&self.cache_hits_by_kind)),
+                    (
+                        "misses_by_kind",
+                        Counts::to_value(&self.cache_misses_by_kind),
+                    ),
+                ]),
+            ),
+            (
+                "latency_us",
+                Value::obj([
+                    ("p50", Value::from(self.latency_p50_us)),
+                    ("p99", Value::from(self.latency_p99_us)),
+                ]),
+            ),
+            (
+                "solver",
+                Value::obj([
+                    ("repairs", Value::from(self.solver_repairs)),
+                    ("full_solves", Value::from(self.solver_full_solves)),
+                    ("rounds", Value::from(self.solver_rounds)),
+                ]),
+            ),
+            (
+                "advice",
+                Value::obj([
+                    ("reused_flows", Value::from(self.advice_reused_flows)),
+                    ("total_flows", Value::from(self.advice_total_flows)),
+                    ("reuse_rate", Value::from(self.advice_reuse_rate())),
+                ]),
+            ),
+        ];
+        obj.extend(members.map(|(key, value)| (key.to_string(), value)));
+    }
+
+    fn get(v: &Value) -> Result<Self, ProtocolError> {
+        let cache = v.get("cache").ok_or_else(|| missing("cache"))?;
+        let latency = v.get("latency_us").ok_or_else(|| missing("latency_us"))?;
+        let requests_by_kind = Counts::read(v, "requests_by_kind")?;
+        // The solver and advice groups are absent on snapshots from older
+        // servers and read as zero; the derived rates are never read.
+        let count = |group: Option<&Value>, key| group.map_or(Ok(0), |g| u64::read(g, key));
+        let (solver, advice) = (v.get("solver"), v.get("advice"));
+        Ok(StatsSnapshot {
+            uptime_seconds: f64::read(v, "uptime_seconds")?,
+            requests_total: u64::read(v, "requests_total")?,
+            requests_by_kind,
+            cache_hits: u64::read(cache, "hits")?,
+            cache_misses: u64::read(cache, "misses")?,
+            cache_entries: usize::read(cache, "entries")?,
+            cache_hits_by_kind: OrEmpty::<Counts>::read(cache, "hits_by_kind")?,
+            cache_misses_by_kind: OrEmpty::<Counts>::read(cache, "misses_by_kind")?,
+            coalesced: u64::read(v, "coalesced")?,
+            latency_p50_us: f64::read(latency, "p50")?,
+            latency_p99_us: f64::read(latency, "p99")?,
+            solver_repairs: count(solver, "repairs")?,
+            solver_full_solves: count(solver, "full_solves")?,
+            solver_rounds: count(solver, "rounds")?,
+            advice_reused_flows: count(advice, "reused_flows")?,
+            advice_total_flows: count(advice, "total_flows")?,
+        })
+    }
 }
 
-/// Decode an optional `(kind, count)` object under `key`; absent keys (old
-/// servers) decode as empty so stats snapshots stay wire-compatible.
-fn kind_counts_from_value(parent: &Value, key: &str) -> Result<Vec<(String, u64)>, ProtocolError> {
-    let Some(obj) = parent.get(key) else {
-        return Ok(Vec::new());
+/// Write a sweep line's label and status: `ok` plus its own members, or
+/// `error` plus the message.
+fn put_line(label: &str, error: &Option<String>, obj: &mut Map, ok: impl FnOnce(&mut Map)) {
+    obj.insert("label".to_string(), Value::from(label));
+    let status = match error {
+        None => {
+            ok(obj);
+            "ok"
+        }
+        Some(message) => {
+            obj.insert("message".to_string(), Value::from(message.as_str()));
+            "error"
+        }
     };
-    obj.as_obj()
-        .ok_or_else(|| missing(key))?
-        .iter()
-        .map(|(k, n)| {
-            n.as_usize()
-                .map(|n| (k.clone(), n as u64))
-                .ok_or_else(|| missing(key))
-        })
-        .collect()
+    obj.insert("status".to_string(), Value::from(status));
+}
+
+/// Read a sweep line's label and status: `None` for `ok` (its members are
+/// read next), the message for `error`.
+fn get_line(v: &Value, unknown: &str) -> Result<(String, Option<String>), ProtocolError> {
+    let label = String::read(v, "label")?;
+    match tag(v, "status")? {
+        "ok" => Ok((label, None)),
+        "error" => Ok((label, Some(String::read(v, "message")?))),
+        other => Err(ProtocolError(format!("{unknown} '{other}'"))),
+    }
 }
 
 /// One advice spec's line in a [`Response::AllocationSweepSummary`].
@@ -1085,45 +952,35 @@ impl AdviceSweepLine {
     pub fn is_ok(&self) -> bool {
         self.error.is_none()
     }
+}
 
-    fn to_value(&self) -> Value {
-        match &self.error {
-            None => Value::obj([
-                ("label", Value::from(self.label.as_str())),
-                ("status", Value::from("ok")),
-                ("best_candidate", Value::from(self.best_candidate.as_str())),
-                ("candidates", Value::from(self.candidates)),
-                ("ordering_agreement", Value::from(self.ordering_agreement)),
-            ]),
-            Some(message) => Value::obj([
-                ("label", Value::from(self.label.as_str())),
-                ("status", Value::from("error")),
-                ("message", Value::from(message.as_str())),
-            ]),
-        }
+impl Object for AdviceSweepLine {
+    fn put(&self, obj: &mut Map) {
+        put_line(&self.label, &self.error, obj, |obj| {
+            String::write(&self.best_candidate, "best_candidate", obj);
+            usize::write(&self.candidates, "candidates", obj);
+            f64::write(&self.ordering_agreement, "ordering_agreement", obj);
+        });
     }
 
-    fn from_value(v: &Value) -> Result<Self, ProtocolError> {
-        let label = get_str(v, "label")?;
-        match get_str(v, "status")?.as_str() {
-            "ok" => Ok(AdviceSweepLine {
+    fn get(v: &Value) -> Result<Self, ProtocolError> {
+        let line = match get_line(v, "unknown allocation-sweep status")? {
+            (label, None) => AdviceSweepLine {
                 label,
-                best_candidate: get_str(v, "best_candidate")?,
-                candidates: get_usize(v, "candidates")?,
-                ordering_agreement: get_f64(v, "ordering_agreement")?,
+                best_candidate: String::read(v, "best_candidate")?,
+                candidates: usize::read(v, "candidates")?,
+                ordering_agreement: f64::read(v, "ordering_agreement")?,
                 error: None,
-            }),
-            "error" => Ok(AdviceSweepLine {
+            },
+            (label, error) => AdviceSweepLine {
                 label,
                 best_candidate: String::new(),
                 candidates: 0,
                 ordering_agreement: 0.0,
-                error: Some(get_str(v, "message")?),
-            }),
-            other => Err(ProtocolError(format!(
-                "unknown allocation-sweep status '{other}'"
-            ))),
-        }
+                error,
+            },
+        };
+        Ok(line)
     }
 }
 
@@ -1147,43 +1004,35 @@ impl SweepLine {
     pub fn is_ok(&self) -> bool {
         self.error.is_none()
     }
+}
 
-    fn to_value(&self) -> Value {
-        match &self.error {
-            None => Value::obj([
-                ("label", Value::from(self.label.as_str())),
-                ("status", Value::from("ok")),
-                ("makespan", Value::from(self.makespan)),
-                ("units", Value::from(self.units)),
-                ("solves", Value::from(self.solves)),
-            ]),
-            Some(message) => Value::obj([
-                ("label", Value::from(self.label.as_str())),
-                ("status", Value::from("error")),
-                ("message", Value::from(message.as_str())),
-            ]),
-        }
+impl Object for SweepLine {
+    fn put(&self, obj: &mut Map) {
+        put_line(&self.label, &self.error, obj, |obj| {
+            f64::write(&self.makespan, "makespan", obj);
+            usize::write(&self.units, "units", obj);
+            usize::write(&self.solves, "solves", obj);
+        });
     }
 
-    fn from_value(v: &Value) -> Result<Self, ProtocolError> {
-        let label = get_str(v, "label")?;
-        match get_str(v, "status")?.as_str() {
-            "ok" => Ok(SweepLine {
+    fn get(v: &Value) -> Result<Self, ProtocolError> {
+        let line = match get_line(v, "unknown sweep status")? {
+            (label, None) => SweepLine {
                 label,
-                makespan: get_f64(v, "makespan")?,
-                units: get_usize(v, "units")?,
-                solves: get_usize(v, "solves")?,
+                makespan: f64::read(v, "makespan")?,
+                units: usize::read(v, "units")?,
+                solves: usize::read(v, "solves")?,
                 error: None,
-            }),
-            "error" => Ok(SweepLine {
+            },
+            (label, error) => SweepLine {
                 label,
                 makespan: 0.0,
                 units: 0,
                 solves: 0,
-                error: Some(get_str(v, "message")?),
-            }),
-            other => Err(ProtocolError(format!("unknown sweep status '{other}'"))),
-        }
+                error,
+            },
+        };
+        Ok(line)
     }
 }
 
@@ -1290,6 +1139,48 @@ pub enum Response {
     },
 }
 
+tagged! {
+    Response by "type", "unknown response type" {
+        "advice" => Advice {
+            machine: String,
+            size: usize,
+            worst_dims: Vec<usize>,
+            best_dims: Vec<usize>,
+            worst_links: u64,
+            best_links: u64,
+            predicted_speedup: f64,
+            regime: String,
+            geometry_matters: bool
+        },
+        "bisection" => Bisection { links: f64 },
+        "flow_summary" => FlowSummary { flows: usize, makespan: f64, mean_completion: f64 },
+        "cluster_summary" => ClusterSummary {
+            fabric: String,
+            allocator: String,
+            jobs: usize,
+            makespan: f64,
+            mean_penalty: f64,
+            avoidable_fraction: f64,
+            mean_wait: f64
+        },
+        "policy_summary" => PolicySummary {
+            policy: String,
+            jobs: usize,
+            mean_wait: f64,
+            mean_slowdown: f64,
+            mean_contention_penalty: f64,
+            optimal_geometry_fraction: f64
+        },
+        "sweep_summary" => SweepSummary { results: Summary<SweepLine> },
+        "fabric_advice" => FabricAdvice(result: Flat<AdviceResult>),
+        "allocation_sweep_summary" => AllocationSweepSummary { results: Summary<AdviceSweepLine> },
+        "health" => Health { uptime_seconds: f64, workers: usize } ["status": "ok"],
+        "stats" => Stats(snapshot: Flat<StatsSnapshot>),
+        "ok" => Ok,
+        "error" => Error { code: ErrorCode, message: String },
+    }
+}
+
 impl Response {
     /// Shorthand for an error response.
     pub fn error(code: ErrorCode, message: impl Into<String>) -> Response {
@@ -1301,308 +1192,12 @@ impl Response {
 
     /// Encode to a JSON document.
     pub fn to_value(&self) -> Value {
-        match self {
-            Response::Advice {
-                machine,
-                size,
-                worst_dims,
-                best_dims,
-                worst_links,
-                best_links,
-                predicted_speedup,
-                regime,
-                geometry_matters,
-            } => Value::obj([
-                ("type", Value::from("advice")),
-                ("machine", Value::from(machine.as_str())),
-                ("size", Value::from(*size)),
-                ("worst_dims", Value::from(worst_dims.clone())),
-                ("best_dims", Value::from(best_dims.clone())),
-                ("worst_links", Value::from(*worst_links)),
-                ("best_links", Value::from(*best_links)),
-                ("predicted_speedup", Value::from(*predicted_speedup)),
-                ("regime", Value::from(regime.as_str())),
-                ("geometry_matters", Value::from(*geometry_matters)),
-            ]),
-            Response::Bisection { links } => Value::obj([
-                ("type", Value::from("bisection")),
-                ("links", Value::from(*links)),
-            ]),
-            Response::FlowSummary {
-                flows,
-                makespan,
-                mean_completion,
-            } => Value::obj([
-                ("type", Value::from("flow_summary")),
-                ("flows", Value::from(*flows)),
-                ("makespan", Value::from(*makespan)),
-                ("mean_completion", Value::from(*mean_completion)),
-            ]),
-            Response::ClusterSummary {
-                fabric,
-                allocator,
-                jobs,
-                makespan,
-                mean_penalty,
-                avoidable_fraction,
-                mean_wait,
-            } => Value::obj([
-                ("type", Value::from("cluster_summary")),
-                ("fabric", Value::from(fabric.as_str())),
-                ("allocator", Value::from(allocator.as_str())),
-                ("jobs", Value::from(*jobs)),
-                ("makespan", Value::from(*makespan)),
-                ("mean_penalty", Value::from(*mean_penalty)),
-                ("avoidable_fraction", Value::from(*avoidable_fraction)),
-                ("mean_wait", Value::from(*mean_wait)),
-            ]),
-            Response::PolicySummary {
-                policy,
-                jobs,
-                mean_wait,
-                mean_slowdown,
-                mean_contention_penalty,
-                optimal_geometry_fraction,
-            } => Value::obj([
-                ("type", Value::from("policy_summary")),
-                ("policy", Value::from(policy.as_str())),
-                ("jobs", Value::from(*jobs)),
-                ("mean_wait", Value::from(*mean_wait)),
-                ("mean_slowdown", Value::from(*mean_slowdown)),
-                (
-                    "mean_contention_penalty",
-                    Value::from(*mean_contention_penalty),
-                ),
-                (
-                    "optimal_geometry_fraction",
-                    Value::from(*optimal_geometry_fraction),
-                ),
-            ]),
-            Response::SweepSummary { results } => Value::obj([
-                ("type", Value::from("sweep_summary")),
-                ("total", Value::from(results.len())),
-                (
-                    "ok",
-                    Value::from(results.iter().filter(|r| r.is_ok()).count()),
-                ),
-                (
-                    "results",
-                    Value::Arr(results.iter().map(SweepLine::to_value).collect()),
-                ),
-            ]),
-            Response::FabricAdvice(result) => {
-                let Value::Obj(mut fields) = advice_result_to_value(result) else {
-                    unreachable!("advice results encode as objects");
-                };
-                fields.insert("type".to_string(), Value::from("fabric_advice"));
-                Value::Obj(fields)
-            }
-            Response::AllocationSweepSummary { results } => Value::obj([
-                ("type", Value::from("allocation_sweep_summary")),
-                ("total", Value::from(results.len())),
-                (
-                    "ok",
-                    Value::from(results.iter().filter(|r| r.is_ok()).count()),
-                ),
-                (
-                    "results",
-                    Value::Arr(results.iter().map(AdviceSweepLine::to_value).collect()),
-                ),
-            ]),
-            Response::Health {
-                uptime_seconds,
-                workers,
-            } => Value::obj([
-                ("type", Value::from("health")),
-                ("status", Value::from("ok")),
-                ("uptime_seconds", Value::from(*uptime_seconds)),
-                ("workers", Value::from(*workers)),
-            ]),
-            Response::Stats(s) => Value::obj([
-                ("type", Value::from("stats")),
-                ("uptime_seconds", Value::from(s.uptime_seconds)),
-                ("requests_total", Value::from(s.requests_total)),
-                (
-                    "requests_by_kind",
-                    Value::Obj(
-                        s.requests_by_kind
-                            .iter()
-                            .map(|(k, n)| (k.clone(), Value::from(*n)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "cache",
-                    Value::obj([
-                        ("hits", Value::from(s.cache_hits)),
-                        ("misses", Value::from(s.cache_misses)),
-                        ("entries", Value::from(s.cache_entries)),
-                        ("hit_rate", Value::from(s.hit_rate())),
-                        ("hits_by_kind", kind_counts_to_value(&s.cache_hits_by_kind)),
-                        (
-                            "misses_by_kind",
-                            kind_counts_to_value(&s.cache_misses_by_kind),
-                        ),
-                    ]),
-                ),
-                ("coalesced", Value::from(s.coalesced)),
-                (
-                    "latency_us",
-                    Value::obj([
-                        ("p50", Value::from(s.latency_p50_us)),
-                        ("p99", Value::from(s.latency_p99_us)),
-                    ]),
-                ),
-                (
-                    "solver",
-                    Value::obj([
-                        ("repairs", Value::from(s.solver_repairs)),
-                        ("full_solves", Value::from(s.solver_full_solves)),
-                        ("rounds", Value::from(s.solver_rounds)),
-                    ]),
-                ),
-                (
-                    "advice",
-                    Value::obj([
-                        ("reused_flows", Value::from(s.advice_reused_flows)),
-                        ("total_flows", Value::from(s.advice_total_flows)),
-                        ("reuse_rate", Value::from(s.advice_reuse_rate())),
-                    ]),
-                ),
-            ]),
-            Response::Ok => Value::obj([("type", Value::from("ok"))]),
-            Response::Error { code, message } => Value::obj([
-                ("type", Value::from("error")),
-                ("code", Value::from(code.as_str())),
-                ("message", Value::from(message.as_str())),
-            ]),
-        }
+        object_value(self)
     }
 
     /// Decode from a JSON document.
     pub fn from_value(v: &Value) -> Result<Self, ProtocolError> {
-        let kind = get_str(v, "type")?;
-        match kind.as_str() {
-            "advice" => Ok(Response::Advice {
-                machine: get_str(v, "machine")?,
-                size: get_usize(v, "size")?,
-                worst_dims: get_dims(v, "worst_dims")?,
-                best_dims: get_dims(v, "best_dims")?,
-                worst_links: get_usize(v, "worst_links")? as u64,
-                best_links: get_usize(v, "best_links")? as u64,
-                predicted_speedup: get_f64(v, "predicted_speedup")?,
-                regime: get_str(v, "regime")?,
-                geometry_matters: v
-                    .get("geometry_matters")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| missing("geometry_matters"))?,
-            }),
-            "bisection" => Ok(Response::Bisection {
-                links: get_f64(v, "links")?,
-            }),
-            "flow_summary" => Ok(Response::FlowSummary {
-                flows: get_usize(v, "flows")?,
-                makespan: get_f64(v, "makespan")?,
-                mean_completion: get_f64(v, "mean_completion")?,
-            }),
-            "cluster_summary" => Ok(Response::ClusterSummary {
-                fabric: get_str(v, "fabric")?,
-                allocator: get_str(v, "allocator")?,
-                jobs: get_usize(v, "jobs")?,
-                makespan: get_f64(v, "makespan")?,
-                mean_penalty: get_f64(v, "mean_penalty")?,
-                avoidable_fraction: get_f64(v, "avoidable_fraction")?,
-                mean_wait: get_f64(v, "mean_wait")?,
-            }),
-            "policy_summary" => Ok(Response::PolicySummary {
-                policy: get_str(v, "policy")?,
-                jobs: get_usize(v, "jobs")?,
-                mean_wait: get_f64(v, "mean_wait")?,
-                mean_slowdown: get_f64(v, "mean_slowdown")?,
-                mean_contention_penalty: get_f64(v, "mean_contention_penalty")?,
-                optimal_geometry_fraction: get_f64(v, "optimal_geometry_fraction")?,
-            }),
-            "sweep_summary" => {
-                let results = v
-                    .get("results")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| missing("results"))?
-                    .iter()
-                    .map(SweepLine::from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Response::SweepSummary { results })
-            }
-            "fabric_advice" => Ok(Response::FabricAdvice(advice_result_from_value(v)?)),
-            "allocation_sweep_summary" => {
-                let results = v
-                    .get("results")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| missing("results"))?
-                    .iter()
-                    .map(AdviceSweepLine::from_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Response::AllocationSweepSummary { results })
-            }
-            "health" => Ok(Response::Health {
-                uptime_seconds: get_f64(v, "uptime_seconds")?,
-                workers: get_usize(v, "workers")?,
-            }),
-            "stats" => {
-                let cache = v.get("cache").ok_or_else(|| missing("cache"))?;
-                let latency = v.get("latency_us").ok_or_else(|| missing("latency_us"))?;
-                let by_kind = v
-                    .get("requests_by_kind")
-                    .and_then(Value::as_obj)
-                    .ok_or_else(|| missing("requests_by_kind"))?
-                    .iter()
-                    .map(|(k, n)| {
-                        n.as_usize()
-                            .map(|n| (k.clone(), n as u64))
-                            .ok_or_else(|| missing("requests_by_kind"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                // Telemetry-era fields: absent on snapshots from older
-                // servers, decoded as empty/zero.
-                let solver = v.get("solver");
-                let solver_count = |key: &str| -> Result<u64, ProtocolError> {
-                    match solver {
-                        None => Ok(0),
-                        Some(s) => Ok(get_usize(s, key)? as u64),
-                    }
-                };
-                let advice = v.get("advice");
-                let advice_count = |key: &str| -> Result<u64, ProtocolError> {
-                    match advice {
-                        None => Ok(0),
-                        Some(a) => Ok(get_usize(a, key)? as u64),
-                    }
-                };
-                Ok(Response::Stats(StatsSnapshot {
-                    uptime_seconds: get_f64(v, "uptime_seconds")?,
-                    requests_total: get_usize(v, "requests_total")? as u64,
-                    requests_by_kind: by_kind,
-                    cache_hits: get_usize(cache, "hits")? as u64,
-                    cache_misses: get_usize(cache, "misses")? as u64,
-                    cache_entries: get_usize(cache, "entries")?,
-                    cache_hits_by_kind: kind_counts_from_value(cache, "hits_by_kind")?,
-                    cache_misses_by_kind: kind_counts_from_value(cache, "misses_by_kind")?,
-                    coalesced: get_usize(v, "coalesced")? as u64,
-                    latency_p50_us: get_f64(latency, "p50")?,
-                    latency_p99_us: get_f64(latency, "p99")?,
-                    solver_repairs: solver_count("repairs")?,
-                    solver_full_solves: solver_count("full_solves")?,
-                    solver_rounds: solver_count("rounds")?,
-                    advice_reused_flows: advice_count("reused_flows")?,
-                    advice_total_flows: advice_count("total_flows")?,
-                }))
-            }
-            "ok" => Ok(Response::Ok),
-            "error" => Ok(Response::Error {
-                code: ErrorCode::from_str(&get_str(v, "code")?)?,
-                message: get_str(v, "message")?,
-            }),
-            other => Err(ProtocolError(format!("unknown response type '{other}'"))),
-        }
+        Response::get(v)
     }
 
     /// Decode a response line.
