@@ -75,7 +75,7 @@ trait Codec {
 
     fn from_value(v: &Value, key: &str) -> Result<Self::Item, ProtocolError>;
 
-    fn write(item: &Self::Item, key: &'static str, obj: &mut Map) {
+    fn write(item: &Self::Item, key: &str, obj: &mut Map) {
         obj.insert(key.to_string(), Self::to_value(item));
     }
 
@@ -222,7 +222,7 @@ impl<C: Codec> Codec for Option<C> {
         }
     }
 
-    fn write(item: &Self::Item, key: &'static str, obj: &mut Map) {
+    fn write(item: &Self::Item, key: &str, obj: &mut Map) {
         if let Some(item) = item {
             C::write(item, key, obj);
         }
@@ -271,7 +271,7 @@ impl<T: Object> Codec for Flat<T> {
         T::get(v)
     }
 
-    fn write(item: &T, _key: &'static str, obj: &mut Map) {
+    fn write(item: &T, _key: &str, obj: &mut Map) {
         item.put(obj);
     }
 
@@ -295,9 +295,11 @@ impl<L: Object> Codec for Summary<L> {
         <Vec<L>>::from_value(v, key)
     }
 
-    fn write(lines: &Vec<L>, key: &'static str, obj: &mut Map) {
+    fn write(lines: &Vec<L>, key: &str, obj: &mut Map) {
         let lines: Vec<Value> = lines.iter().map(object_value).collect();
-        let ok = lines.iter().filter(|line| tag(line, "status") == Ok("ok"));
+        let ok = lines
+            .iter()
+            .filter(|line| line.get("status").and_then(Value::as_str) == Some("ok"));
         obj.insert("ok".to_string(), Value::from(ok.count()));
         obj.insert("total".to_string(), Value::from(lines.len()));
         obj.insert(key.to_string(), Value::Arr(lines));
