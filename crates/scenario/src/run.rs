@@ -168,7 +168,9 @@ fn permutation_flows(fabric: &Fabric, gigabytes: f64, seed: u64) -> Vec<Flow> {
 
 /// Simulate a flow set to completion and render it as a scenario result,
 /// scaling times by `scale` (1 for single-shot patterns, the measured-round
-/// count for the pairing benchmark).
+/// count for the pairing benchmark). A volume or round count so large that
+/// a time overflows is refused: JSON cannot carry a non-finite number, so
+/// no client could read that answer.
 fn run_flow_pattern(
     spec: &ScenarioSpec,
     fabric: &Fabric,
@@ -204,14 +206,21 @@ fn run_flow_pattern(
     fluid.reset_csr(&offsets, &data, fabric.capacities(), &sizes);
     fluid.run_to_completion();
     let outcome = fluid.into_outcome();
+    let makespan = outcome.makespan * scale;
+    let mean_completion = outcome.mean_completion() * scale;
+    if !(makespan.is_finite() && mean_completion.is_finite()) {
+        return Err(invalid(
+            "completion times are not finite; the volume is too large for this fabric",
+        ));
+    }
     Ok(ScenarioResult {
         label: spec.label(),
         fabric: fabric.name().to_string(),
         nodes: fabric.num_nodes(),
         channels: fabric.num_channels(),
         units: flows.len(),
-        makespan: outcome.makespan * scale,
-        mean_completion: outcome.mean_completion() * scale,
+        makespan,
+        mean_completion,
         solves: outcome.rounds,
         detail: ScenarioDetail::Flows {
             bottleneck_lower_bound: outcome.bottleneck_lower_bound * scale,

@@ -735,7 +735,7 @@ mod tests {
     fn answers_json_cannot_carry_are_refused() {
         // Each request is within budget, but its answer overflows to a
         // non-finite number, which the JSON writer could only send as null.
-        use crate::protocol::{AllocationSpec, RoutingSpec};
+        use crate::protocol::{AllocationSpec, RoutingSpec, ScenarioSpec, TrafficSpec};
         let torus = TopologySpec::Torus(vec![4, 4]);
         let spec = AdviceSpec {
             topology: torus.clone(),
@@ -752,7 +752,7 @@ mod tests {
                 kernel: Some(KernelSpec::Custom(1e308, 1e308)),
             },
             Request::SimulateFlows {
-                topology: torus,
+                topology: torus.clone(),
                 flows: (0..4)
                     .map(|src| FlowSpec {
                         src,
@@ -786,6 +786,27 @@ mod tests {
                 assert!(results.iter().all(|line| !line.is_ok()), "{results:?}");
             }
             other => panic!("expected an allocation-sweep summary, got {other:?}"),
+        }
+        // Each round's makespan is finite; scaled by 2^53 measured rounds
+        // it is not.
+        let pairing = ScenarioSpec {
+            topology: torus,
+            routing: RoutingSpec::ShortestPath,
+            traffic: TrafficSpec::BisectionPairing {
+                rounds: 1 << 53,
+                warmup_rounds: 0,
+                round_gigabytes: 1e300,
+            },
+            seed: 0,
+        };
+        let sweep = handle(&Request::Sweep {
+            scenarios: vec![pairing],
+        });
+        match Response::decode(&sweep.encode()) {
+            Ok(Response::SweepSummary { results }) => {
+                assert!(results.iter().all(|line| !line.is_ok()), "{results:?}");
+            }
+            other => panic!("expected a sweep summary, got {other:?}"),
         }
     }
 }

@@ -425,7 +425,7 @@ fn response_strategy() -> BoxedStrategy<Response> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases_env(256))]
+    #![proptest_config(ProptestConfig::with_cases(4096))]
 
     #[test]
     fn requests_round_trip(request in request_strategy()) {
