@@ -358,6 +358,7 @@ impl ClusterScheduler {
             self.fabric.capacities(),
             &self.sizes_buf,
         );
+        self.fluid.makespan_bound()?;
         self.fluid.run_until_first_done(own.len());
         let own_done = self.fluid.completion_times()[..own.len()]
             .iter()
@@ -401,11 +402,17 @@ impl ClusterScheduler {
                 }
             };
             let runtime = job.runtime_uncontended * penalty;
+            let now = ctx.time();
+            if !(now + runtime).is_finite() {
+                *self.error.borrow_mut() = Some(EngineError::NonFiniteTime {
+                    what: "job completion times",
+                });
+                return;
+            }
             for &v in &nodes {
                 debug_assert!(self.free[v], "allocator returned a busy node");
                 self.free[v] = false;
             }
-            let now = ctx.time();
             self.running.insert(
                 job.id,
                 RunningJob {
@@ -514,6 +521,11 @@ pub fn simulate_cluster_observed(
     for job in jobs {
         if job.nodes == 0 || job.nodes > fabric.num_nodes() {
             continue;
+        }
+        if !job.arrival.is_finite() {
+            return Err(EngineError::NonFiniteTime {
+                what: "job arrival times",
+            });
         }
         sim.schedule(job.arrival, sched_id, ClusterEvent::Arrival(job.clone()));
     }

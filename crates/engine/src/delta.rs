@@ -39,13 +39,19 @@
 //! batch by construction, shadow-checked in debug builds) or from the batch
 //! kernel itself on the local subproblem; every round then advances the
 //! clock and retires flows through the fluid core's own round step, the one
-//! [`FluidSim::advance_round`](crate::FluidSim::advance_round) runs.
+//! [`FluidSim::advance_round`](crate::FluidSim::advance_round) runs. Later
+//! rounds re-solve through the fluid core's round solve too: warm from the
+//! previous round's bottleneck steps after a batch round 1, cold once after
+//! a round 1 the session served, which leaves the kernel no record (see
+//! "Warm re-solves" in [`maxmin`](crate::maxmin)).
 //! `tests/advice_delta_parity.rs` pins the equivalence across random
 //! fabrics, candidate lists and thread caps.
 
 use crate::fluid::complete_round;
 use crate::incremental::IncrementalMaxMin;
-use crate::maxmin::{max_min_rates_csr, ChannelId, LocalChannels, MaxMinScratch};
+use crate::maxmin::{
+    max_min_rates_csr, max_min_rates_round, ChannelId, LocalChannels, MaxMinScratch,
+};
 use netpart_telemetry::{Telemetry, TelemetryEvent};
 use std::collections::HashMap;
 
@@ -113,6 +119,7 @@ pub struct DeltaFluidScorer {
     remaining: Vec<f64>,
     rates: Vec<f64>,
     active: Vec<usize>,
+    retired: Vec<usize>,
     removed_ids: Vec<usize>,
     scratch: MaxMinScratch,
     telemetry: Telemetry,
@@ -137,6 +144,7 @@ impl DeltaFluidScorer {
             remaining: Vec::new(),
             rates: Vec::new(),
             active: Vec::new(),
+            retired: Vec::new(),
             removed_ids: Vec::new(),
             scratch: MaxMinScratch::new(),
             telemetry: Telemetry::disabled(),
@@ -288,6 +296,7 @@ impl DeltaFluidScorer {
             for (i, f) in flows.iter().enumerate() {
                 self.rates[i] = session_rates[self.ids[&f.key]];
             }
+            self.scratch.forget();
         } else {
             max_min_rates_csr(
                 &self.active,
@@ -305,25 +314,27 @@ impl DeltaFluidScorer {
         let mut time = 0.0f64;
         let mut rounds = 1usize;
         loop {
-            let mut retired = 0usize;
+            let retired = &mut self.retired;
+            retired.clear();
             time += complete_round(
                 &mut self.active,
                 &mut self.remaining,
                 &self.rates,
                 &self.sizes,
-                |_| retired += 1,
+                |i| retired.push(i),
             );
             self.telemetry.emit(TelemetryEvent::SolverRound {
                 round: rounds as u64,
                 active_flows: self.active.len() as u64,
-                retired: retired as u64,
+                retired: self.retired.len() as u64,
             });
             if self.active.is_empty() {
                 break;
             }
             rounds += 1;
-            max_min_rates_csr(
+            max_min_rates_round(
                 &self.active,
+                &self.retired,
                 &self.offsets,
                 &self.data,
                 &self.channels.capacities,
@@ -517,6 +528,59 @@ mod tests {
         // The final small-diff set re-armed the session to its own flows.
         assert_eq!(scorer.session_flows(), 4);
         assert_eq!(scorer.live_flows(), 4);
+    }
+
+    #[test]
+    fn warm_rounds_after_a_session_round_match_a_fresh_simulation() {
+        // Distinct volumes give every set several rounds. The leader's
+        // round 1 is a batch solve and its later rounds re-solve warm; the
+        // second set differs by one flow, so the session serves its round
+        // 1 and the kernel must not warm-start round 2 from the leader's
+        // record.
+        let caps = vec![2.0, 3.0, 1.5, 4.0, 2.5];
+        let paths: Vec<Vec<ChannelId>> = vec![
+            vec![0],
+            vec![0, 1],
+            vec![1, 2],
+            vec![3],
+            vec![2, 3, 4],
+            vec![4],
+            vec![1, 4],
+        ];
+        let sizes = [1.0, 2.5, 0.75, 3.0, 1.25, 2.0, 0.5];
+        let sets: [&[usize]; 2] = [&[0, 1, 2, 3, 4, 5], &[0, 1, 2, 3, 4, 6]];
+        let mut scorer = DeltaFluidScorer::new(&caps);
+        for (step, keys) in sets.iter().enumerate() {
+            let flows: Vec<DeltaFlow<'_>> = keys
+                .iter()
+                .map(|&k| DeltaFlow {
+                    key: k as u64,
+                    path: &paths[k],
+                    gigabytes: sizes[k],
+                })
+                .collect();
+            let got = scorer.score_set(&flows);
+            let set_paths: Vec<Vec<ChannelId>> = keys.iter().map(|&k| paths[k].clone()).collect();
+            let set_sizes: Vec<f64> = keys.iter().map(|&k| sizes[k]).collect();
+            let mut fresh = FluidSim::new(&set_paths, &caps, &set_sizes);
+            fresh.run_to_completion();
+            assert!(
+                fresh.rounds() >= 4,
+                "step {step}: {} rounds",
+                fresh.rounds()
+            );
+            assert_eq!(
+                got.makespan.to_bits(),
+                fresh.time().to_bits(),
+                "step {step}"
+            );
+            assert_eq!(got.rounds, fresh.rounds(), "step {step}");
+        }
+        assert_eq!(
+            scorer.session_flows(),
+            6,
+            "the second set ran on the session"
+        );
     }
 
     #[test]

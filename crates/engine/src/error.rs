@@ -55,6 +55,13 @@ pub enum EngineError {
         /// The id-space limit (`u32::MAX`).
         limit: u64,
     },
+    /// A simulated time would overflow `f64`: flow volumes or arrival gaps
+    /// so large that a run could not finish at a finite time. Checked
+    /// before the run, which then never starts.
+    NonFiniteTime {
+        /// The times that would overflow.
+        what: &'static str,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -87,6 +94,9 @@ impl std::fmt::Display for EngineError {
                     f,
                     "fabric would need {count} {entity}, exceeding the u32 id budget of {limit}"
                 )
+            }
+            EngineError::NonFiniteTime { what } => {
+                write!(f, "{what} would not be finite: volumes or gaps too large")
             }
         }
     }

@@ -141,6 +141,7 @@ pub fn simulate_flows(
     let paths = route_flows(fabric, router, flows)?;
     let sizes: Vec<f64> = flows.iter().map(|f| f.gigabytes).collect();
     let fluid = FluidSim::new(&paths, fabric.capacities(), &sizes);
+    fluid.makespan_bound()?;
     let outcome = Rc::new(RefCell::new(None));
     let mut sim = Simulation::new();
     let driver = sim.add_component(

@@ -5,15 +5,23 @@
 //! between. It holds only the set-local view of its flow set: the channels
 //! its paths touch, renumbered densely in ascending fabric order, so every
 //! round costs the flows' own channels rather than the fabric's, with
-//! results bit-identical to a solve over every channel. It is deliberately
-//! driver agnostic: [`FluidSim::run_to_completion`] runs it in a plain
-//! loop, [`FluidSim::run_until_first_done`] stops once a prefix of the
-//! flows has finished, and this crate's [`flowsim`](crate::flowsim)
-//! scenario drives the *same* state machine through the event queue — so
-//! all three produce bit-identical completion times on identical inputs.
+//! results bit-identical to a solve over every channel. A batch round
+//! re-solves warm: the previous round's solve left its bottleneck steps in
+//! the solver scratch, and the new round replays them up to the first step
+//! that fixed a flow the previous round finished, then fills on from there
+//! (see "Warm re-solves" in [`maxmin`](crate::maxmin)). Round 1 of a flow
+//! set and the first batch round after a solver-mode switch start cold.
+//!
+//! It is deliberately driver agnostic: [`FluidSim::run_to_completion`]
+//! runs it in a plain loop, [`FluidSim::run_until_first_done`] stops once a
+//! prefix of the flows has finished, and this crate's
+//! [`flowsim`](crate::flowsim) scenario drives the *same* state machine
+//! through the event queue — so all three produce bit-identical completion
+//! times on identical inputs.
 
+use crate::error::EngineError;
 use crate::incremental::{IncrementalMaxMin, SolverMode};
-use crate::maxmin::{max_min_rates_csr, ChannelId, LocalChannels, MaxMinScratch};
+use crate::maxmin::{max_min_rates_round, ChannelId, LocalChannels, MaxMinScratch};
 use netpart_telemetry::{Telemetry, TelemetryEvent};
 
 /// Result of running a [`FluidSim`] to completion.
@@ -66,14 +74,16 @@ pub struct FluidSim {
     rounds: usize,
     channel_load_gb: Vec<f64>,
     bottleneck_lower_bound: f64,
-    /// Solver buffers, reused across completion rounds.
+    /// Solver buffers, reused across completion rounds; between batch
+    /// rounds they hold the record the next round re-solves warm from.
     scratch: MaxMinScratch,
     solver_mode: SolverMode,
     /// Live only in [`SolverMode::Incremental`]: each completion round is a
     /// pure remove-delta, so rates repair in time proportional to the
     /// affected component instead of the whole flow set.
     incremental: Option<IncrementalMaxMin>,
-    /// Flow ids retired in the current round (reused per round).
+    /// Flow ids the last round retired (reused per round); the next batch
+    /// round's warm re-solve takes them out of the record.
     retired_buf: Vec<usize>,
     /// Observability sink; disabled by default (one branch per round).
     telemetry: Telemetry,
@@ -138,6 +148,9 @@ impl FluidSim {
     /// reseeded from the currently active flows.
     pub fn set_solver_mode(&mut self, mode: SolverMode) {
         self.solver_mode = mode;
+        // Rounds the incremental solver serves leave no record: the next
+        // batch round starts cold.
+        self.scratch.forget();
         self.reseed_incremental();
     }
 
@@ -254,6 +267,7 @@ impl FluidSim {
         }
         self.time = 0.0;
         self.rounds = 0;
+        self.scratch.forget();
         self.reseed_incremental();
     }
 
@@ -290,6 +304,57 @@ impl FluidSim {
         self.bottleneck_lower_bound
     }
 
+    /// An upper bound (seconds) on the completion times of the flows in
+    /// flight, from time 0. A flow's max–min rate is never below its path's
+    /// smallest `capacity / traversals`, so it finishes by `size ·
+    /// max(traversals / capacity)` over its path; the factor 1.05 covers
+    /// the lookahead of large flow sets.
+    ///
+    /// # Errors
+    /// [`EngineError::NonFiniteTime`] when the bound is not finite: the run
+    /// could overflow the clock, and callers refuse it before simulating.
+    pub fn makespan_bound(&self) -> Result<f64, EngineError> {
+        let (lo, hi) = self
+            .active
+            .iter()
+            .map(|&i| self.sizes[i])
+            .fold((f64::INFINITY, 0.0f64), |(lo, hi), s| {
+                (lo.min(s), hi.max(s))
+            });
+        // A channel with load `l` carries at most `l / lo` traversals of
+        // these flows, so `hi / lo` times the bottleneck bound covers every
+        // flow without a pass over the paths. Only when that overflows is
+        // each path's own bound worth computing.
+        let coarse = 1.05 * self.bottleneck_lower_bound * (hi / lo);
+        if coarse.is_finite() {
+            return Ok(coarse);
+        }
+        let caps = &self.channels.capacities;
+        let mut traversals = vec![0u32; caps.len()];
+        for &c in &self.path_data {
+            traversals[c as usize] += 1;
+        }
+        let slowest = self
+            .active
+            .iter()
+            .map(|&i| {
+                self.path_data[self.path_offsets[i]..self.path_offsets[i + 1]]
+                    .iter()
+                    .map(|&c| f64::from(traversals[c as usize]) / caps[c as usize])
+                    .fold(0.0, f64::max)
+                    * self.sizes[i]
+            })
+            .fold(0.0, f64::max);
+        let bound = 1.05 * slowest;
+        if bound.is_finite() {
+            Ok(bound)
+        } else {
+            Err(EngineError::NonFiniteTime {
+                what: "flow completion times",
+            })
+        }
+    }
+
     /// Advance to the next completion round: recompute max–min rates, jump to
     /// the earliest completion among active flows, and retire every flow that
     /// finishes by then. Returns the new simulation time, or `None` if the
@@ -303,8 +368,9 @@ impl FluidSim {
         }
         self.rounds += 1;
         match self.solver_mode {
-            SolverMode::Batch => max_min_rates_csr(
+            SolverMode::Batch => max_min_rates_round(
                 &self.active,
+                &self.retired_buf,
                 &self.path_offsets,
                 &self.path_data,
                 &self.channels.capacities,
@@ -535,22 +601,65 @@ mod tests {
 
     #[test]
     fn switching_modes_mid_run_keeps_the_trajectory() {
-        let paths = vec![vec![0], vec![0, 1], vec![1], vec![0]];
-        let caps = vec![2.0, 3.0];
-        let sizes = vec![1.0, 2.0, 3.0, 0.25];
+        // Six rounds, so every script below runs warm batch rounds both
+        // before and after its switches.
+        let paths = vec![vec![0], vec![0, 1], vec![1], vec![0], vec![1, 2], vec![2]];
+        let caps = vec![2.0, 3.0, 1.5];
+        let sizes = vec![1.0, 2.0, 3.0, 0.25, 1.5, 4.0];
         let mut reference = FluidSim::new(&paths, &caps, &sizes);
         reference.run_to_completion();
-        let mut switched = FluidSim::new(&paths, &caps, &sizes);
-        switched.advance_round();
-        switched.set_solver_mode(SolverMode::Incremental);
-        switched.run_to_completion();
-        for (a, b) in reference
-            .completion_times()
-            .iter()
-            .zip(switched.completion_times())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(reference.rounds(), 6);
+        let (batch, incremental) = (SolverMode::Batch, SolverMode::Incremental);
+        // The mode each round runs under, from the first round on; the last
+        // mode runs the remaining rounds. Incremental rounds leave the
+        // kernel no record, so the batch rounds after them must start cold.
+        let scripts: [&[SolverMode]; 4] = [
+            &[batch, incremental],
+            &[incremental, incremental, batch],
+            &[batch, batch, incremental, incremental, batch],
+            &[batch, incremental, batch, incremental, batch],
+        ];
+        for script in scripts {
+            let mut switched = FluidSim::new(&paths, &caps, &sizes);
+            for &mode in &script[..script.len() - 1] {
+                switched.set_solver_mode(mode);
+                switched.advance_round();
+            }
+            switched.set_solver_mode(script[script.len() - 1]);
+            switched.run_to_completion();
+            assert_eq!(switched.rounds(), reference.rounds(), "{script:?}");
+            for (a, b) in reference
+                .completion_times()
+                .iter()
+                .zip(switched.completion_times())
+            {
+                assert_eq!(a.to_bits(), b.to_bits(), "{script:?}");
+            }
         }
+    }
+
+    #[test]
+    fn makespan_bound_covers_the_run_and_is_finite_when_the_run_is() {
+        // Uneven volumes and a shared channel: the coarse bound holds.
+        let mut sim = FluidSim::new(
+            &[vec![0], vec![0, 1], vec![1]],
+            &[2.0, 3.0],
+            &[1.0, 2.0, 3.0],
+        );
+        let bound = sim.makespan_bound().unwrap();
+        sim.run_to_completion();
+        assert!(sim.time() <= bound, "{} > {bound}", sim.time());
+        // Two 1e308 GB flows share a 2 GB/s channel: its load overflows,
+        // but each flow gets 1 GB/s and finishes at 1e308 s, which the
+        // per-path bound sees.
+        let huge =
+            |copies: usize| FluidSim::new(&vec![vec![0]; copies], &[2.0], &vec![1e308; copies]);
+        let mut pair = huge(2);
+        assert!(pair.makespan_bound().is_ok());
+        pair.run_to_completion();
+        assert_eq!(pair.time(), 1e308);
+        // With four, each gets 0.5 GB/s and the run would overflow.
+        assert!(huge(4).makespan_bound().is_err());
     }
 
     #[test]
@@ -630,17 +739,24 @@ mod tests {
     #[test]
     fn reused_simulation_matches_fresh_construction_bit_for_bit() {
         type Case = (Vec<Vec<ChannelId>>, Vec<f64>, Vec<f64>);
+        // The first two sets take several rounds each, so the second one
+        // runs right after warm rounds of another set.
         let cases: Vec<Case> = vec![
             (
                 vec![vec![0], vec![0, 1], vec![1]],
                 vec![2.0, 3.0],
                 vec![1.0, 2.0, 3.0],
             ),
+            (
+                vec![vec![1], vec![0, 1], vec![0]],
+                vec![2.0, 3.0],
+                vec![2.0, 1.0, 3.0],
+            ),
             (vec![vec![1], vec![]], vec![1.0, 4.0], vec![7.0, 2.0]),
             (vec![vec![0, 1, 2]], vec![2.0, 1.0, 3.0], vec![6.0]),
         ];
         let mut reused = FluidSim::empty();
-        for (paths, caps, sizes) in &cases {
+        for (case, (paths, caps, sizes)) in cases.iter().enumerate() {
             let mut offsets = vec![0usize];
             let mut data = Vec::new();
             for p in paths {
@@ -651,6 +767,10 @@ mod tests {
             reused.run_to_completion();
             let mut fresh = FluidSim::new(paths, caps, sizes);
             fresh.run_to_completion();
+            assert!(
+                case >= 2 || fresh.rounds() > 1,
+                "case {case} is multi-round"
+            );
             assert_eq!(reused.time(), fresh.time());
             assert_eq!(reused.completion_times(), fresh.completion_times());
             assert_eq!(reused.rounds(), fresh.rounds());

@@ -116,7 +116,7 @@ pub use flowsim::{
 };
 pub use fluid::{FluidOutcome, FluidSim};
 pub use incremental::{IncrementalMaxMin, SolverMode};
-pub use maxmin::{max_min_rates_csr, ChannelId, MaxMinScratch};
+pub use maxmin::{max_min_rates_csr, max_min_rates_warm, ChannelId, MaxMinScratch};
 pub use router::{DimensionOrdered, Ecmp, Router, ShortestPath, TieBreak, Valiant};
 pub use sim::{Component, Context, Simulation, PROGRESS_EVERY};
 

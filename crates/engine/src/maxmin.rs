@@ -36,6 +36,49 @@
 //! order does not depend on the heap's internal layout: rates are
 //! bit-identical to a serial full scan for the argmin, the reference model
 //! in `tests/maxmin_reference.rs`.
+//!
+//! # Warm re-solves
+//!
+//! A *bottleneck step* is one heap pop that fixes the unfixed flows of the
+//! argmin channel at its share, the step's *level*. Every solve leaves in
+//! its scratch a record of its steps: the flows it fixed in fixing order,
+//! cut into steps, with each step's level. A fluid simulation's next
+//! completion round solves the same paths and capacities for a subset of
+//! the flows: the ones that finished (the *retired* flows) are gone.
+//! [`max_min_rates_warm`] takes the retired flows' traversals out of the
+//! per-channel live counts and replays the recorded steps up to the first
+//! one that fixed a retired flow, the *divergence point*: each replayed
+//! step fixes its flows at its recorded level with the kernel's own
+//! `(rem - level).max(0.0)` update, and no heap work. It then seeds the
+//! heap with the fresh shares of the channels that still carry unfixed
+//! flows and fills the rest as a cold solve does. It keeps the
+//! channel→flow membership of the last cold solve and skips retired members
+//! instead of rebuilding it. The result is bit-identical to a cold solve of
+//! the smaller set:
+//!
+//! - A step before the divergence point has a bottleneck channel that no
+//!   retired flow crosses, or that step would have fixed the retired flow.
+//!   Its remaining capacity and unfixed count are therefore the same in both
+//!   solves, and so is its share.
+//! - Before the divergence point no retired flow has fixed, so every other
+//!   channel has the same remaining capacity in both solves and a smaller
+//!   or equal unfixed count. Correctly rounded division is monotone, so its
+//!   share can only grow, and the step's `(share, channel)` argmin stays the
+//!   argmin. Each step keeps its bottleneck, its level, its flow set and its
+//!   exact subtractions.
+//! - At the divergence point both solves hold the same remaining capacities,
+//!   unfixed counts and fixed flows. From there a heap seeded with fresh
+//!   shares pops the same unique `(share, channel)` argmin sequence as a
+//!   cold solve.
+//!
+//! The record belongs to one flow set: a warm re-solve needs the same paths
+//! and capacities as the recorded solve and an active set that is the
+//! recorded one minus `retired`. [`FluidSim`](crate::FluidSim) and the
+//! delta scorer decide warm versus cold in one crate-private place, which
+//! starts cold whenever the record may describe another set (a new flow
+//! set, a solver-mode switch, a round solved by the incremental solver).
+//! With `debug_assertions` on, every warm re-solve is re-run cold and the
+//! two must agree bit for bit, naming the first diverging flow.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -70,7 +113,8 @@ impl Ord for Share {
 
 /// Reusable buffers for [`max_min_rates_csr`]. One instance amortizes every
 /// per-solve allocation (membership CSR, remaining capacities, the heap
-/// arena) across an entire simulation.
+/// arena) across an entire simulation, and holds the record of its last
+/// solve that [`max_min_rates_warm`] starts from.
 #[derive(Debug, Clone, Default)]
 pub struct MaxMinScratch {
     remaining_cap: Vec<f64>,
@@ -78,12 +122,14 @@ pub struct MaxMinScratch {
     member_offsets: Vec<usize>,
     /// Flow ids, channel-major (flow counts are checked against u32 once per
     /// solve, so members pack twice as densely as a usize arena would).
+    /// Built by cold solves only: warm re-solves skip retired members.
     members: Vec<u32>,
     cursor: Vec<usize>,
     /// Lazy-deletion heap: entries key channels by a (possibly stale) lower
     /// bound of their fair share.
     heap: BinaryHeap<Reverse<(Share, ChannelId)>>,
     fixed: Vec<bool>,
+    record: FillRecord,
 }
 
 impl MaxMinScratch {
@@ -91,12 +137,39 @@ impl MaxMinScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Drop the record of the last solve, so the next
+    /// [`max_min_rates_round`] starts cold.
+    pub(crate) fn forget(&mut self) {
+        self.record.flows = None;
+    }
+}
+
+/// Marks a flow that no bottleneck step of the recorded solve fixed.
+const NO_STEP: u32 = u32::MAX;
+
+/// The bottleneck steps of the last solve through a scratch (see "Warm
+/// re-solves" in the module docs): O(flows + channels) `u32`s plus O(steps).
+#[derive(Debug, Clone, Default)]
+struct FillRecord {
+    /// Active flows of the recorded solve; `None` when there is no record.
+    flows: Option<usize>,
+    /// Flows in fixing order, one run per step.
+    order: Vec<u32>,
+    /// Where each step's run ends in `order`.
+    ends: Vec<usize>,
+    /// Each step's level: the share its flows were fixed at.
+    levels: Vec<f64>,
+    /// The step that fixed each flow (`NO_STEP` if none did).
+    step_of: Vec<u32>,
+    /// Traversals of each channel by the recorded solve's active flows.
+    live: Vec<u32>,
 }
 
 /// Max–min fair rates (GB/s) for the active flows, indexed by flow id
-/// (entries for inactive flows are 0). Progressive filling: repeatedly find
-/// the channel with the smallest fair share, fix its unfixed flows at that
-/// share, and subtract their demand everywhere else.
+/// (entries of other flows are left as they are). Progressive filling:
+/// repeatedly find the channel with the smallest fair share, fix its
+/// unfixed flows at that share, and subtract their demand everywhere else.
 ///
 /// Paths are given in CSR form: flow `i` traverses
 /// `path_data[path_offsets[i]..path_offsets[i + 1]]`.
@@ -104,7 +177,9 @@ impl MaxMinScratch {
 /// Each round's bottleneck is the unique `(share, channel)` minimum, popped
 /// from a lazy-deletion heap seeded once per solve. Heap keys are lower
 /// bounds on the fresh shares, so the popped argmin is exact and rates are
-/// bit-identical to a serial full scan (see the module docs).
+/// bit-identical to a serial full scan (see the module docs). The solve
+/// always starts cold, whatever `scratch` last solved, and leaves its record
+/// there for [`max_min_rates_warm`].
 ///
 /// # Panics
 /// Panics if the flow count exceeds `u32::MAX` (the membership arena stores
@@ -127,8 +202,9 @@ pub fn max_min_rates_csr(
         member_offsets,
         members,
         cursor,
-        heap,
         fixed,
+        record,
+        ..
     } = scratch;
 
     remaining_cap.clear();
@@ -166,6 +242,183 @@ pub fn max_min_rates_csr(
         }
     }
 
+    record.flows = Some(active.len());
+    record.order.clear();
+    record.ends.clear();
+    record.levels.clear();
+    record.step_of.clear();
+    record.step_of.resize(n_flows, NO_STEP);
+    record.live.clear();
+    record.live.extend_from_slice(unfixed_count);
+    fill(active, 0, path_offsets, path_data, scratch, rate);
+}
+
+/// [`max_min_rates_csr`] for `active` after the flows in `retired` left the
+/// set that `scratch` last solved: replays the recorded bottleneck steps up
+/// to the first one that fixed a retired flow and fills only from there
+/// (see "Warm re-solves" in the module docs). Rates are bit-identical to a
+/// cold solve of `active`, and the record is updated for the next call.
+///
+/// The fluid core reaches this through its round loop, which starts cold
+/// whenever the record may belong to another flow set; it is public so the
+/// reference suite can drive arbitrary retirement scripts.
+///
+/// # Contract
+/// `path_offsets`, `path_data` and `capacities` are those of the last solve
+/// through `scratch`, that solve's active flows are exactly `active` plus
+/// `retired`, and no flow is in both.
+///
+/// # Panics
+/// Panics if `scratch` holds no record, or if the flow or channel counts
+/// differ from the recorded solve's. With `debug_assertions` on, also if
+/// the rates differ from a cold solve's.
+pub fn max_min_rates_warm(
+    active: &[usize],
+    retired: &[usize],
+    path_offsets: &[usize],
+    path_data: &[ChannelId],
+    capacities: &[f64],
+    scratch: &mut MaxMinScratch,
+    rate: &mut [f64],
+) {
+    let path = |i: usize| &path_data[path_offsets[i]..path_offsets[i + 1]];
+    let MaxMinScratch {
+        remaining_cap,
+        unfixed_count,
+        fixed,
+        record,
+        ..
+    } = scratch;
+    let recorded = record
+        .flows
+        .expect("a warm re-solve starts from the record of a solve");
+    assert_eq!(
+        active.len() + retired.len(),
+        recorded,
+        "a warm re-solve's active and retired flows are the recorded solve's"
+    );
+    assert_eq!(
+        capacities.len(),
+        record.live.len(),
+        "a warm re-solve runs on the recorded solve's channels"
+    );
+
+    for &r in retired {
+        for &c in path(r) {
+            record.live[c as usize] -= 1;
+        }
+    }
+    // Replay every step before the first one that fixed a retired flow.
+    let cut = retired
+        .iter()
+        .map(|&r| record.step_of[r] as usize)
+        .fold(record.levels.len(), usize::min);
+    let replayed = cut.checked_sub(1).map_or(0, |s| record.ends[s]);
+    for &i in &record.order[replayed..] {
+        fixed[i as usize] = false;
+    }
+    for &r in retired {
+        fixed[r] = true;
+    }
+    remaining_cap.clear();
+    remaining_cap.extend_from_slice(capacities);
+    unfixed_count.clear();
+    unfixed_count.extend_from_slice(&record.live);
+    let mut start = 0;
+    for (&end, &level) in record.ends[..cut].iter().zip(&record.levels) {
+        for &i in &record.order[start..end] {
+            rate[i as usize] = level;
+            for &d in path(i as usize) {
+                remaining_cap[d as usize] = (remaining_cap[d as usize] - level).max(0.0);
+                unfixed_count[d as usize] -= 1;
+            }
+        }
+        start = end;
+    }
+    record.flows = Some(active.len());
+    record.order.truncate(replayed);
+    record.ends.truncate(cut);
+    record.levels.truncate(cut);
+    fill(active, replayed, path_offsets, path_data, scratch, rate);
+
+    #[cfg(debug_assertions)]
+    {
+        let mut cold = rate.to_vec();
+        let mut cold_scratch = MaxMinScratch::new();
+        max_min_rates_csr(
+            active,
+            path_offsets,
+            path_data,
+            capacities,
+            &mut cold_scratch,
+            &mut cold,
+        );
+        if let Some(&i) = active
+            .iter()
+            .find(|&&i| rate[i].to_bits() != cold[i].to_bits())
+        {
+            panic!(
+                "warm re-solve diverged from a cold solve at flow {i}: warm {} vs cold {}",
+                rate[i], cold[i]
+            );
+        }
+    }
+}
+
+/// One completion round's rates for `active`: warm from the record of the
+/// previous round when `scratch` holds one (`retired` are the flows that
+/// round finished), cold otherwise. The one place the fluid core decides;
+/// its callers [`forget`](MaxMinScratch::forget) the record whenever it may
+/// not describe their current flow set's last round.
+pub(crate) fn max_min_rates_round(
+    active: &[usize],
+    retired: &[usize],
+    path_offsets: &[usize],
+    path_data: &[ChannelId],
+    capacities: &[f64],
+    scratch: &mut MaxMinScratch,
+    rate: &mut [f64],
+) {
+    if scratch.record.flows.is_some() {
+        max_min_rates_warm(
+            active,
+            retired,
+            path_offsets,
+            path_data,
+            capacities,
+            scratch,
+            rate,
+        );
+    } else {
+        max_min_rates_csr(active, path_offsets, path_data, capacities, scratch, rate);
+    }
+}
+
+/// Progressive filling from the scratch's current state, in which
+/// `fixed_count` of the `active` flows are already fixed: seed the heap
+/// with the fresh share of every channel carrying an unfixed flow, pop
+/// bottlenecks until every flow is fixed, and append each step to the
+/// record.
+fn fill(
+    active: &[usize],
+    mut fixed_count: usize,
+    path_offsets: &[usize],
+    path_data: &[ChannelId],
+    scratch: &mut MaxMinScratch,
+    rate: &mut [f64],
+) {
+    let path = |i: usize| &path_data[path_offsets[i]..path_offsets[i + 1]];
+    let MaxMinScratch {
+        remaining_cap,
+        unfixed_count,
+        member_offsets,
+        members,
+        heap,
+        fixed,
+        record,
+        ..
+    } = scratch;
+
     // Seed the heap with the fresh share of every channel carrying an
     // unfixed flow: one O(n) heapify over the reused buffer.
     let mut seed = std::mem::take(heap).into_vec();
@@ -183,7 +436,6 @@ pub fn max_min_rates_csr(
     // Keys are lower bounds (shares only grow as flows fix; see the module
     // docs), so a popped entry whose key equals the fresh share is the
     // exact global argmin; otherwise it re-enters under its fresh key.
-    let mut fixed_count = 0usize;
     while fixed_count < active.len() {
         let Some(Reverse((stale, c))) = heap.pop() else {
             // No constrained channel left; remaining flows are unbounded in
@@ -206,6 +458,7 @@ pub fn max_min_rates_csr(
         }
         // `c` is the bottleneck: fix its still-unfixed flows at `current`
         // and retire their demand from every channel they traverse.
+        let step = record.levels.len() as u32;
         for &i in &members[member_offsets[c as usize]..member_offsets[c as usize + 1]] {
             let i = i as usize;
             if fixed[i] {
@@ -214,11 +467,15 @@ pub fn max_min_rates_csr(
             fixed[i] = true;
             fixed_count += 1;
             rate[i] = current;
+            record.order.push(i as u32);
+            record.step_of[i] = step;
             for &d in path(i) {
                 remaining_cap[d as usize] = (remaining_cap[d as usize] - current).max(0.0);
                 unfixed_count[d as usize] -= 1;
             }
         }
+        record.ends.push(record.order.len());
+        record.levels.push(current);
     }
 }
 

@@ -204,6 +204,7 @@ fn run_flow_pattern(
     let mut fluid = FluidSim::empty();
     fluid.set_telemetry(telemetry.clone());
     fluid.reset_csr(&offsets, &data, fabric.capacities(), &sizes);
+    fluid.makespan_bound()?;
     fluid.run_to_completion();
     let outcome = fluid.into_outcome();
     let makespan = outcome.makespan * scale;

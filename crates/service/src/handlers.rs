@@ -13,7 +13,7 @@ use crate::protocol::{
 use netpart_contention::{advise_kernel, ContentionModel, Kernel, NodeModel};
 use netpart_engine::{
     simulate_cluster_observed, simulate_flows, Allocator, CompactAllocator, DimensionOrdered,
-    Fabric, Router, ScatterAllocator, ShortestPath, SolverMode, Telemetry,
+    EngineError, Fabric, Router, ScatterAllocator, ShortestPath, SolverMode, Telemetry,
 };
 use netpart_machines::{known, BlueGeneQ};
 use netpart_scenario::{
@@ -192,6 +192,7 @@ fn handle_simulate_flows(topology: &TopologySpec, flows: &[FlowSpec]) -> Respons
     }
     let outcome = match simulate_flows(&fabric, router.as_ref(), flows) {
         Ok(outcome) => outcome,
+        Err(e @ EngineError::NonFiniteTime { .. }) => return unsupported(e.to_string()),
         Err(e) => return Response::error(ErrorCode::Internal, format!("simulation failed: {e}")),
     };
     let mean_completion = outcome.mean_completion();
@@ -252,6 +253,7 @@ fn handle_cluster_sim(
             avoidable_fraction: metrics.avoidable_fraction(1.05),
             mean_wait: metrics.mean_wait(),
         },
+        Err(e @ EngineError::NonFiniteTime { .. }) => unsupported(e.to_string()),
         Err(e) => Response::error(
             ErrorCode::Internal,
             format!("cluster simulation failed: {e}"),
@@ -804,6 +806,77 @@ mod tests {
         });
         match Response::decode(&sweep.encode()) {
             Ok(Response::SweepSummary { results }) => {
+                assert!(results.iter().all(|line| !line.is_ok()), "{results:?}");
+            }
+            other => panic!("expected a sweep summary, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn runs_whose_times_would_overflow_are_refused_before_simulating() {
+        // Each request is within budget, but a simulated time would
+        // overflow f64 before the run could finish (an arrival, an
+        // exchange or a completion round). The engine used to panic on
+        // these, which the server answered as `internal`.
+        use crate::protocol::{RoutingSpec, ScenarioSpec, TrafficSpec};
+        let cube = TopologySpec::Torus(vec![4, 4, 4]);
+        let cluster = |mean_gap, gigabytes| Request::ClusterSim {
+            topology: cube.clone(),
+            jobs: 16,
+            max_nodes: 8,
+            mean_gap,
+            gigabytes,
+            allocator: AllocatorSpec::Compact,
+        };
+        // Five copies of one flow share its channel at 0.4 GB/s each.
+        let shared = Request::SimulateFlows {
+            topology: TopologySpec::Torus(vec![4, 4]),
+            flows: vec![
+                FlowSpec {
+                    src: 0,
+                    dst: 1,
+                    gigabytes: 1e308,
+                };
+                5
+            ],
+        };
+        for request in [cluster(1e308, 1.0), cluster(40.0, 1e308), shared] {
+            let reply = Response::decode(&handle(&request).encode());
+            assert!(
+                matches!(
+                    reply,
+                    Ok(Response::Error {
+                        code: ErrorCode::Unsupported,
+                        ..
+                    })
+                ),
+                "{request:?}: {reply:?}"
+            );
+        }
+        let scenarios = vec![
+            ScenarioSpec {
+                topology: cube,
+                routing: RoutingSpec::ShortestPath,
+                traffic: TrafficSpec::JobTrace {
+                    jobs: 16,
+                    max_nodes: 8,
+                    mean_gap: 40.0,
+                    gigabytes: 1e308,
+                    allocator: AllocatorSpec::Compact,
+                },
+                seed: 0,
+            },
+            ScenarioSpec {
+                topology: TopologySpec::Torus(vec![4, 4]),
+                routing: RoutingSpec::DimensionOrdered,
+                traffic: TrafficSpec::AllToAll { gigabytes: 1e308 },
+                seed: 0,
+            },
+        ];
+        let sweep = handle(&Request::Sweep { scenarios });
+        match Response::decode(&sweep.encode()) {
+            Ok(Response::SweepSummary { results }) => {
+                assert_eq!(results.len(), 2);
                 assert!(results.iter().all(|line| !line.is_ok()), "{results:?}");
             }
             other => panic!("expected a sweep summary, got {other:?}"),

@@ -17,12 +17,18 @@
 //! stop once a prefix of the flows is done. Every comparison is on the
 //! bits of the `f64`s.
 //!
+//! [`max_min_rates_warm`] is pinned the same way: after a cold solve, each
+//! step of a random retirement script takes flows out (a random subset, a
+//! first-step flow, last-step flows only, nothing, or every flow on one
+//! channel) and the warm re-solve must equal a reference solve of the flows
+//! left.
+//!
 //! The CI `queue-parity` job runs this suite with an elevated case count
 //! (`PROPTEST_CASES=512`); locally it defaults to a fast 48 per property.
 
 use netpart::engine::{
-    max_min_rates_csr, route_flows_csr, ChannelId, DimensionOrdered, Fabric, Flow, FluidOutcome,
-    FluidSim, MaxMinScratch, Router, ShortestPath, SolverMode,
+    max_min_rates_csr, max_min_rates_warm, route_flows_csr, ChannelId, DimensionOrdered, Fabric,
+    Flow, FluidOutcome, FluidSim, MaxMinScratch, Router, ShortestPath, SolverMode,
 };
 use netpart::scenario::{build_fabric, TopologySpec};
 use netpart::topology::Torus;
@@ -34,14 +40,14 @@ use proptest::prelude::*;
 /// [`max_min_rates_csr`]. Same contract — flow `i` traverses
 /// `path_data[path_offsets[i]..path_offsets[i + 1]]`, only `active`
 /// entries of `rate` are written, and flows no channel constrains get
-/// `f64::MAX`.
+/// `f64::MAX`. Returns the flows each bottleneck step fixed, in step order.
 fn reference_rates(
     active: &[usize],
     path_offsets: &[usize],
     path_data: &[ChannelId],
     capacities: &[f64],
     rate: &mut [f64],
-) {
+) -> Vec<Vec<usize>> {
     let path = |i: usize| &path_data[path_offsets[i]..path_offsets[i + 1]];
     let mut remaining = capacities.to_vec();
     let mut unfixed = vec![0u32; capacities.len()];
@@ -55,6 +61,7 @@ fn reference_rates(
     }
     let mut fixed = vec![false; rate.len()];
     let mut fixed_count = 0usize;
+    let mut steps = Vec::new();
     let mut live: Vec<usize> = (0..capacities.len()).filter(|&c| unfixed[c] > 0).collect();
     while fixed_count < active.len() {
         live.retain(|&c| unfixed[c] > 0);
@@ -70,6 +77,7 @@ fn reference_rates(
             }
             break;
         };
+        let mut step = Vec::new();
         for &i in &members[c] {
             if fixed[i] {
                 continue;
@@ -77,12 +85,15 @@ fn reference_rates(
             fixed[i] = true;
             fixed_count += 1;
             rate[i] = share;
+            step.push(i);
             for &d in path(i) {
                 remaining[d as usize] = (remaining[d as usize] - share).max(0.0);
                 unfixed[d as usize] -= 1;
             }
         }
+        steps.push(step);
     }
+    steps
 }
 
 /// A fluid run to completion on [`reference_rates`], with `FluidSim`'s
@@ -224,6 +235,57 @@ fn assert_fluid_matches(
             bits(&reference.completion[..k]),
             "first {k} completion times ({mode:?})"
         );
+    }
+}
+
+/// The flows one step of a retirement script takes out of `active`, given
+/// the reference's bottleneck steps for `active`. `kind` picks the shape:
+/// 0. a random subset (bit `k % 64` of `pick` keeps the `k`-th flow);
+/// 1. one flow of the first step, so the warm re-solve replays nothing;
+/// 2. flows of the last step only, so it replays every earlier step;
+/// 3. nothing, so it replays the whole record;
+/// 4. every active flow crossing one channel, which empties that channel.
+fn retirement(
+    kind: u8,
+    pick: u64,
+    active: &[usize],
+    steps: &[Vec<usize>],
+    offsets: &[usize],
+    data: &[ChannelId],
+) -> Vec<usize> {
+    let path = |i: usize| &data[offsets[i]..offsets[i + 1]];
+    let subset = |flows: &[usize]| -> Vec<usize> {
+        let mut chosen: Vec<usize> = (0..flows.len())
+            .filter(|k| pick >> (k % 64) & 1 == 1)
+            .map(|k| flows[k])
+            .collect();
+        if chosen.is_empty() && !flows.is_empty() {
+            chosen.push(flows[pick as usize % flows.len()]);
+        }
+        chosen
+    };
+    match kind {
+        0 => subset(active),
+        1 => steps
+            .first()
+            .map_or(Vec::new(), |s| vec![s[pick as usize % s.len()]]),
+        2 => steps.last().map_or(Vec::new(), |s| subset(s)),
+        3 => Vec::new(),
+        _ => {
+            let routed: Vec<usize> = active
+                .iter()
+                .copied()
+                .filter(|&i| !path(i).is_empty())
+                .collect();
+            let Some(&flow) = routed.get(pick as usize % routed.len().max(1)) else {
+                return Vec::new();
+            };
+            let channel = path(flow)[0];
+            routed
+                .into_iter()
+                .filter(|&i| path(i).contains(&channel))
+                .collect()
+        }
     }
 }
 
@@ -369,6 +431,55 @@ proptest! {
         let sizes: Vec<f64> = flows.iter().map(|f| f.gigabytes).collect();
         for mode in [SolverMode::Batch, SolverMode::Incremental] {
             assert_fluid_matches(&offsets, &data, &capacities, &sizes, mode);
+        }
+    }
+
+    #[test]
+    fn warm_re_solves_match_the_reference_after_any_retirement(
+        fabric in small_fabric(),
+        raw_flows in proptest::collection::vec((0usize..1 << 16, 0usize..1 << 16), 1..40),
+        scales in proptest::collection::vec(1u8..=8, 1..12),
+        script in proptest::collection::vec((0u8..5, any::<u64>()), 1..16),
+    ) {
+        // One cold solve, then one warm re-solve per script step, each
+        // after the step's retirements (not only those completion order
+        // would produce), checked against a cold reference solve.
+        let nodes = fabric.num_nodes();
+        let flows: Vec<Flow> = raw_flows
+            .iter()
+            .map(|&(s, d)| Flow { src: s % nodes, dst: d % nodes, gigabytes: 1.0 })
+            .collect();
+        let capacities: Vec<f64> = fabric
+            .capacities()
+            .iter()
+            .enumerate()
+            .map(|(c, cap)| cap * f64::from(scales[c % scales.len()]) / 3.0)
+            .collect();
+        let router: Box<dyn Router> = if fabric.torus().is_some() {
+            Box::new(DimensionOrdered::default())
+        } else {
+            Box::new(ShortestPath)
+        };
+        let (offsets, data) = route(&fabric, router.as_ref(), &flows);
+        let mut active: Vec<usize> = (0..flows.len()).collect();
+        let mut scratch = MaxMinScratch::new();
+        let mut rates = vec![0.0f64; flows.len()];
+        let mut expected = vec![0.0f64; flows.len()];
+        max_min_rates_csr(&active, &offsets, &data, &capacities, &mut scratch, &mut rates);
+        let mut steps = reference_rates(&active, &offsets, &data, &capacities, &mut expected);
+        for (kind, pick) in script {
+            let retired = retirement(kind, pick, &active, &steps, &offsets, &data);
+            active.retain(|i| !retired.contains(i));
+            max_min_rates_warm(
+                &active, &retired, &offsets, &data, &capacities, &mut scratch, &mut rates,
+            );
+            steps = reference_rates(&active, &offsets, &data, &capacities, &mut expected);
+            let bits_of = |r: &[f64]| active.iter().map(|&i| r[i].to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits_of(&rates),
+                bits_of(&expected),
+                "warm re-solve after retiring {retired:?} (kind {kind})"
+            );
         }
     }
 }
