@@ -4,14 +4,16 @@
 //!
 //! * the historical buffer-reuse pair — per-candidate construction
 //!   (`score_naive`) vs reused CSR/fluid/scratch buffers (`score_reused`);
-//! * the headline delta-scoring ladder — the advice sweep's reset-per-
-//!   candidate shape (`score_reset`, the pre-delta serial loop) vs the
-//!   delta-scored shard sessions (`score_delta`, what `run_advice` runs
-//!   now), over 64/128/256/512 candidate sweeps;
+//! * the shard ladder — the advice sweep's reset-per-candidate shape
+//!   (`score_reset`, a serial loop that re-routes every candidate) vs what
+//!   `run_advice` runs (`score_delta`: duplicates collapsed, a spec-scoped
+//!   route cache, fixed shards through one reused fluid solver each), over
+//!   64/128/256/512 candidate sweeps (the `_delta` entry names are kept so
+//!   the committed baseline stays comparable);
 //! * one end-to-end `run_advice` over the torus-blocks registry entry.
 //!
 //! Every compared pair is asserted bit-identical before anything is timed;
-//! the delta ladder additionally pins its checksum across worker thread
+//! the shard ladder additionally pins its checksum across worker thread
 //! caps 1/2/8, so the recorded speedup can never come from reordered or
 //! diverging answers.
 
@@ -66,10 +68,10 @@ fn main() {
         ));
     }
 
-    // The delta-scoring ladder: reset-per-candidate (the sweep's pre-delta
-    // serial shape) vs the delta-scored shard sessions, at growing candidate
+    // The shard ladder: reset-per-candidate (a serial loop that re-routes
+    // every candidate) vs the production shards, at growing candidate
     // counts. Checksums are pinned bit-identical — including across thread
-    // caps 1/2/8 for the delta path — before any timing.
+    // caps 1/2/8 for the shards — before any timing.
     for count in [64usize, 128, 256, 512] {
         let candidates = candidate_sets(&fabric, 4, count);
         let reset_scores = score_reset(&fabric, &router, &candidates, gigabytes);
@@ -80,7 +82,7 @@ fn main() {
             assert_eq!(
                 scores_checksum(&delta_scores),
                 checksum,
-                "delta scoring diverged from the reset path at thread cap {cap} ({count} candidates)"
+                "shard scoring diverged from the reset path at thread cap {cap} ({count} candidates)"
             );
         }
         rayon::set_max_threads(0);

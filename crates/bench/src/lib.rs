@@ -287,7 +287,7 @@ pub mod advise_workloads {
         total
     }
 
-    /// Score the candidates through the advice sweep's pre-delta shape: a
+    /// Score the candidates through the advice sweep's reset shape: a
     /// serial loop that re-arms one fluid solver per candidate (the
     /// `score_candidates_reset` reference path). Returns per-candidate
     /// scores in input order.
@@ -308,17 +308,16 @@ pub mod advise_workloads {
         .expect("candidates route")
     }
 
-    /// Score the candidates through the delta-scored shard sessions (the
-    /// path `run_advice` uses): overlap-ordered candidates, persistent
-    /// incremental solver per shard, spec-scoped route cache. Bit-identical
-    /// scores to [`score_reset`].
+    /// Score the candidates as `run_advice` does: duplicates collapsed,
+    /// distinct sets in fixed shards through one reused fluid solver each,
+    /// spec-scoped route cache. Bit-identical scores to [`score_reset`].
     pub fn score_delta(
         fabric: &Fabric,
         router: &dyn Router,
         candidates: &[Vec<usize>],
         gigabytes: f64,
     ) -> Vec<CandidateScore> {
-        netpart_scenario::score_candidates_delta(
+        netpart_scenario::score_candidates(
             fabric,
             router,
             candidates,

@@ -17,7 +17,10 @@
 //! prefix of the flows has finished, and this crate's
 //! [`flowsim`](crate::flowsim) scenario drives the *same* state machine
 //! through the event queue — so all three produce bit-identical completion
-//! times on identical inputs.
+//! times on identical inputs. Callers that score many flow sets (the advice
+//! candidates) re-arm one instance for each set with
+//! [`FluidSim::reset_csr`]: this is the workspace's only completion-round
+//! loop.
 
 use crate::error::EngineError;
 use crate::incremental::{IncrementalMaxMin, SolverMode};
@@ -469,14 +472,14 @@ impl FluidSim {
     }
 }
 
-/// One completion round's arithmetic, shared by [`FluidSim::advance_round`]
-/// and the delta scorer: step to the earliest completion among `active`,
-/// drain every active flow at its rate, compact `active` in place (order
-/// kept) and hand each finished flow to `retire`. Returns the step.
+/// One completion round's arithmetic for [`FluidSim::advance_round`]: step
+/// to the earliest completion among `active`, drain every active flow at
+/// its rate, compact `active` in place (order kept) and hand each finished
+/// flow to `retire`. Returns the step.
 ///
 /// # Panics
 /// Panics if floating-point degeneracy prevents progress.
-pub(crate) fn complete_round(
+fn complete_round(
     active: &mut Vec<usize>,
     remaining: &mut [f64],
     rates: &[f64],

@@ -1,13 +1,14 @@
 //! Incremental max–min fair rates: re-solve proportional to the change.
 //!
-//! Every consumer of [`max_min_rates_csr`] so far re-solves the whole flow
-//! set from scratch, even when consecutive solves differ by a handful of
-//! flows — a completion round retires a few flows, a cluster event swaps one
-//! job's exchange in or out, an advice candidate shares most of its traffic
-//! with the previous one. [`IncrementalMaxMin`] keeps the current flow set,
+//! [`max_min_rates_csr`] solves a flow set from scratch, even when
+//! consecutive solves differ by a handful of flows, as when a completion
+//! round retires a few. [`IncrementalMaxMin`] keeps the current flow set,
 //! the per-channel membership index and the converged rate assignment alive
 //! between solves, and repairs only the part of the solution a delta can
-//! actually change.
+//! actually change. Its production caller is
+//! [`FluidSim`](crate::FluidSim) under [`SolverMode::Incremental`], where
+//! each completion round is a pure remove-delta; the parity suites also
+//! drive it with arbitrary insert/remove scripts.
 //!
 //! # Why the repair is bit-identical to a batch solve
 //!

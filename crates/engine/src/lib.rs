@@ -91,7 +91,6 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod delta;
 pub mod error;
 pub mod event;
 pub mod fabric;
@@ -107,7 +106,6 @@ pub use cluster::{
     Allocator, BlockedAllocator, ClusterJob, ClusterMetrics, ClusterOutcome, CompactAllocator,
     RandomAllocator, ScatterAllocator,
 };
-pub use delta::{DeltaFlow, DeltaFluidScorer, DeltaScore, DeltaStats};
 pub use error::EngineError;
 pub use event::{ComponentId, Event, EventId, EventQueue, QueueKind};
 pub use fabric::{Channel, Fabric, FabricPatch, LinkPatch, NodePatch};

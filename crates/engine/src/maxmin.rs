@@ -73,10 +73,10 @@
 //!
 //! The record belongs to one flow set: a warm re-solve needs the same paths
 //! and capacities as the recorded solve and an active set that is the
-//! recorded one minus `retired`. [`FluidSim`](crate::FluidSim) and the
-//! delta scorer decide warm versus cold in one crate-private place, which
-//! starts cold whenever the record may describe another set (a new flow
-//! set, a solver-mode switch, a round solved by the incremental solver).
+//! recorded one minus `retired`. [`FluidSim`](crate::FluidSim) alone decides
+//! warm versus cold, in one crate-private place, and starts cold whenever
+//! the record may describe another set: a new flow set, or a solver-mode
+//! switch (rounds the incremental solver served leave no record).
 //! With `debug_assertions` on, every warm re-solve is re-run cold and the
 //! two must agree bit for bit, naming the first diverging flow.
 
@@ -368,8 +368,8 @@ pub fn max_min_rates_warm(
 /// One completion round's rates for `active`: warm from the record of the
 /// previous round when `scratch` holds one (`retired` are the flows that
 /// round finished), cold otherwise. The one place the fluid core decides;
-/// its callers [`forget`](MaxMinScratch::forget) the record whenever it may
-/// not describe their current flow set's last round.
+/// `FluidSim` [`forget`](MaxMinScratch::forget)s the record whenever it may
+/// not describe its current flow set's last round.
 pub(crate) fn max_min_rates_round(
     active: &[usize],
     retired: &[usize],
@@ -487,8 +487,8 @@ const UNTOUCHED: ChannelId = ChannelId::MAX;
 /// The ascending order keeps the kernel's `(share, channel)` tie-break and
 /// untouched channels never enter a solve, so [`max_min_rates_csr`] over the
 /// view is bit-identical to a solve over the fabric while its per-channel
-/// passes cost only the set's channels. `FluidSim`, the incremental repair
-/// and the delta scorer all build their subproblems with it.
+/// passes cost only the set's channels. `FluidSim` and the incremental
+/// repair both build their subproblems with it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LocalChannels {
     /// Fabric channel -> local id; `UNTOUCHED` outside the view.

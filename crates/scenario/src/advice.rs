@@ -18,18 +18,15 @@
 //! ≥ 1 because the bound is a true lower bound) — the avoidable-contention
 //! signal the paper's closing section asks schedulers to consume.
 //!
-//! Scoring is *delta-based* across candidates: duplicate node sets —
-//! which real sweeps are full of — collapse onto a single simulation, the
-//! distinct sets are ordered by node-set overlap (greedy chase up to the
-//! service's candidate cap, lexicographic beyond it), split into contiguous
-//! shards, and each shard is scored through one persistent scoring session
-//! ([`DeltaFluidScorer`]) that inspects only the symmetric difference
-//! between one candidate's flow set and the next and solves each round on
-//! the candidate's own dense subproblem. Per-pair routes are computed once
-//! per sweep in a spec-scoped route cache, not once per candidate. The result is bit-identical to the retired reset-per-candidate
-//! path ([`score_candidates_reset`], kept as the benchmark baseline and the
-//! debug-build shadow reference) at any rayon thread cap
-//! (`results/bench_advise.json` records the effect).
+//! Duplicate node sets — which real sweeps are full of — collapse onto a
+//! single simulation. The distinct sets, in first-appearance order, are cut
+//! into fixed shards of eight that fan out over rayon, and each shard scores
+//! its candidates one after another through one reused [`FluidSim`]. Per-pair
+//! routes are computed once per sweep in a spec-scoped route cache, not once
+//! per candidate. A candidate's score depends only on its own flows, so the
+//! result is bit-identical to re-routing and re-arming a simulation per
+//! candidate ([`score_candidates_reset`], kept as the benchmark baseline and
+//! the debug-build shadow reference) at any rayon thread cap.
 //!
 //! A scored sweep can also be *patched*: [`run_readvise`] takes a
 //! [`FabricPatch`] (failed links, drained nodes — capacity deltas) plus the
@@ -42,9 +39,9 @@ use crate::run::ScenarioError;
 use crate::spec::{build_fabric, RoutingSpec, TopologySpec, MAX_FLOWS};
 use netpart_contention::{internal_bisection_gbs_with, ContentionModel, Kernel, SweepOrders};
 use netpart_engine::{
-    route_flows_csr, Allocator, BlockedAllocator, ChannelId, CompactAllocator, DeltaFlow,
-    DeltaFluidScorer, Fabric, FabricPatch, Flow, FluidSim, RandomAllocator, Router,
-    ScatterAllocator, SolverMode, Telemetry, TelemetryEvent,
+    route_flows_csr, Allocator, BlockedAllocator, ChannelId, CompactAllocator, Fabric, FabricPatch,
+    Flow, FluidSim, RandomAllocator, Router, ScatterAllocator, SolverMode, Telemetry,
+    TelemetryEvent,
 };
 use netpart_topology::torus::Cuboid;
 use rayon::prelude::*;
@@ -283,12 +280,12 @@ fn generate_candidates(
 
 /// Reusable scoring buffers: flow list, CSR paths and the fluid simulation
 /// (whose max–min scratch persists across `reset_csr` calls). One instance
-/// scores every candidate of a sweep without per-candidate allocation.
+/// scores a run of candidates without per-candidate allocation.
 struct Scorer {
     flows: Vec<Flow>,
     sizes: Vec<f64>,
     path_offsets: Vec<usize>,
-    path_data: Vec<netpart_engine::ChannelId>,
+    path_data: Vec<ChannelId>,
     fluid: FluidSim,
 }
 
@@ -303,17 +300,16 @@ impl Scorer {
         }
     }
 
-    /// Simulate the all-to-all exchange inside `nodes` and return
-    /// `(makespan, solves)`.
+    /// Route the all-to-all exchange inside `nodes` with `router` and
+    /// simulate it.
     fn simulate(
         &mut self,
         fabric: &Fabric,
         router: &dyn Router,
         nodes: &[usize],
         gigabytes: f64,
-    ) -> Result<(f64, usize), ScenarioError> {
+    ) -> Result<CandidateScore, ScenarioError> {
         self.flows.clear();
-        self.sizes.clear();
         for &a in nodes {
             for &b in nodes {
                 if a != b {
@@ -322,7 +318,6 @@ impl Scorer {
                         dst: b,
                         gigabytes,
                     });
-                    self.sizes.push(gigabytes);
                 }
             }
         }
@@ -333,22 +328,57 @@ impl Scorer {
             &mut self.path_offsets,
             &mut self.path_data,
         )?;
+        self.run(fabric, gigabytes)
+    }
+
+    /// Simulate the all-to-all exchange inside `nodes` over the cached
+    /// routes.
+    fn simulate_cached(
+        &mut self,
+        fabric: &Fabric,
+        routes: &RouteCache,
+        nodes: &[usize],
+        gigabytes: f64,
+    ) -> Result<CandidateScore, ScenarioError> {
+        self.path_offsets.clear();
+        self.path_data.clear();
+        self.path_offsets.push(0);
+        for &a in nodes {
+            for &b in nodes {
+                if a != b {
+                    self.path_data.extend_from_slice(routes.path(a, b));
+                    self.path_offsets.push(self.path_data.len());
+                }
+            }
+        }
+        self.run(fabric, gigabytes)
+    }
+
+    /// Run the routed exchange (every flow `gigabytes`) to completion,
+    /// refusing it first if its clock could overflow.
+    fn run(&mut self, fabric: &Fabric, gigabytes: f64) -> Result<CandidateScore, ScenarioError> {
+        self.sizes.clear();
+        self.sizes.resize(self.path_offsets.len() - 1, gigabytes);
         self.fluid.reset_csr(
             &self.path_offsets,
             &self.path_data,
             fabric.capacities(),
             &self.sizes,
         );
+        self.fluid.makespan_bound()?;
         self.fluid.run_to_completion();
-        Ok((self.fluid.time(), self.fluid.rounds()))
+        Ok(CandidateScore {
+            simulated_seconds: self.fluid.time(),
+            solves: self.fluid.rounds(),
+        })
     }
 }
 
-/// Candidates scored per persistent delta-solver session. Fixed (never
-/// derived from the thread count) so the shard boundaries — and therefore
-/// every candidate's first-in-shard/delta classification — are identical at
-/// any rayon thread cap, which is what keeps the ranked advice bit-stable.
-const DELTA_SHARD_CANDIDATES: usize = 8;
+/// Distinct candidates scored one after another on one rayon worker through
+/// one reused [`FluidSim`]. Fixed (never derived from the thread count), so
+/// shard membership, and with it each candidate's span label, is identical
+/// at any rayon thread cap.
+const SHARD_CANDIDATES: usize = 8;
 
 /// One candidate's simulation outcome: the two fields of a
 /// [`CandidateResult`] that the fluid core produces.
@@ -369,10 +399,10 @@ fn pair_key(a: usize, b: usize) -> u64 {
 /// Collapse duplicate candidate node sets. Returns the distinct sets as
 /// sorted node lists in first-appearance order, plus each input candidate's
 /// slot in that distinct list. Two candidates naming the same nodes — in any
-/// order — exchange the same all-to-all flow multiset, so one delta-scored
-/// simulation serves every copy; real sweeps are full of such copies
-/// (deterministic generators repeated across a ladder, scatter strides that
-/// coincide modulo the fabric).
+/// order — exchange the same all-to-all flow multiset, so one simulation
+/// serves every copy; real sweeps are full of such copies (deterministic
+/// generators repeated across a ladder, scatter strides that coincide
+/// modulo the fabric).
 fn dedup_candidates(candidates: &[Vec<usize>]) -> (Vec<Vec<usize>>, Vec<usize>) {
     let mut slots: HashMap<Vec<usize>, usize> = HashMap::new();
     let mut distinct: Vec<Vec<usize>> = Vec::new();
@@ -390,67 +420,6 @@ fn dedup_candidates(candidates: &[Vec<usize>]) -> (Vec<Vec<usize>>, Vec<usize>) 
         rep_of.push(slot);
     }
     (distinct, rep_of)
-}
-
-/// Locality order over sorted candidate node sets, so that consecutive
-/// shard entries hand the delta scorer the smallest flow-set differences.
-///
-/// Up to [`MAX_ADVICE_CANDIDATES`] distinct sets — every sweep the service
-/// accepts — this is the greedy overlap chase of [`greedy_overlap_order`].
-/// Oversized direct-API sweeps (the bench ladder drives 512 candidates)
-/// would pay O(n²) for an ordering that barely matters once duplicates are
-/// collapsed, so they fall back to lexicographic order of the sorted node
-/// lists, which still clusters shared prefixes in O(n log n).
-fn overlap_order(sorted: &[Vec<usize>]) -> Vec<usize> {
-    if sorted.len() <= MAX_ADVICE_CANDIDATES {
-        return greedy_overlap_order(sorted);
-    }
-    let mut order: Vec<usize> = (0..sorted.len()).collect();
-    order.sort_by(|&a, &b| sorted[a].cmp(&sorted[b]));
-    order
-}
-
-/// Greedy locality order over sorted candidate node sets: start at the first
-/// candidate, then repeatedly append the unvisited candidate sharing the
-/// most nodes with the last one (ties towards the earlier index).
-/// Deterministic, and O(n² · nodes).
-fn greedy_overlap_order(sorted: &[Vec<usize>]) -> Vec<usize> {
-    let overlap = |a: &[usize], b: &[usize]| {
-        let (mut i, mut j, mut shared) = (0usize, 0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    shared += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        shared
-    };
-    let mut order = Vec::with_capacity(sorted.len());
-    let mut used = vec![false; sorted.len()];
-    let mut current = 0usize;
-    for _ in 0..sorted.len() {
-        order.push(current);
-        used[current] = true;
-        let mut best: Option<(usize, usize)> = None; // (overlap, index)
-        for (idx, taken) in used.iter().enumerate() {
-            if !taken {
-                let shared = overlap(&sorted[current], &sorted[idx]);
-                if best.is_none_or(|(b, _)| shared > b) {
-                    best = Some((shared, idx));
-                }
-            }
-        }
-        match best {
-            Some((_, idx)) => current = idx,
-            None => break,
-        }
-    }
-    order
 }
 
 /// Spec-scoped route cache: every distinct ordered node pair a sweep's
@@ -497,100 +466,81 @@ impl RouteCache {
     }
 }
 
-/// The delta scoring core: duplicate candidates collapse onto one
-/// simulation, the distinct sets go through contiguous shards in locality
-/// order, one persistent solver session per shard, routes from the shared
-/// cache. Results come back in the *input* order of `candidates`.
+/// The scoring core: duplicate candidates collapse onto one simulation and
+/// the distinct sets go through fixed shards, one reused [`FluidSim`] per
+/// shard, routes from the shared cache. Results come back in the *input*
+/// order of `candidates`.
 ///
-/// Scores depend only on a candidate's own flow multiset — never on what
-/// the session scored before it (the parity suite and the debug shadow
-/// pin this) — so collapsing duplicates and reordering the distinct sets
-/// are pure execution choices: the returned scores are bit-identical to
-/// scoring every candidate separately, at any worker thread cap.
+/// Scores depend only on a candidate's own flow multiset, never on what
+/// the shard's simulation scored before it (the parity suite and the debug
+/// shadow pin this), so collapsing duplicates and sharding are pure
+/// execution choices: the returned scores are bit-identical to scoring
+/// every candidate separately, at any worker thread cap.
+///
+/// # Errors
+/// The first candidate, in input order of the distinct sets, whose
+/// simulated clock could overflow ([`FluidSim::makespan_bound`]).
 fn score_with_routes(
     fabric: &Fabric,
     routes: &RouteCache,
     candidates: &[Vec<usize>],
     gigabytes: f64,
     telemetry: &Telemetry,
-) -> Vec<CandidateScore> {
+) -> Result<Vec<CandidateScore>, ScenarioError> {
     let (distinct, rep_of) = dedup_candidates(candidates);
-    let rep_scores = score_distinct_with_routes(fabric, routes, &distinct, gigabytes, telemetry);
-    rep_of.iter().map(|&slot| rep_scores[slot]).collect()
+    let scores = score_distinct_with_routes(fabric, routes, &distinct, gigabytes, telemetry)?;
+    Ok(rep_of.iter().map(|&slot| scores[slot]).collect())
 }
 
 /// [`score_with_routes`] minus the dedup wrapper: score each of the
-/// already-distinct sorted node sets, returning one score per set in input
-/// order.
+/// already-distinct node sets, returning one score per set in input order.
 fn score_distinct_with_routes(
     fabric: &Fabric,
     routes: &RouteCache,
     distinct: &[Vec<usize>],
     gigabytes: f64,
     telemetry: &Telemetry,
-) -> Vec<CandidateScore> {
-    let order = overlap_order(distinct);
-    let shards: Vec<&[usize]> = order.chunks(DELTA_SHARD_CANDIDATES).collect();
-    let shard_scores: Vec<Vec<(usize, CandidateScore)>> = (0..shards.len())
+) -> Result<Vec<CandidateScore>, ScenarioError> {
+    let shards: Vec<Result<Vec<CandidateScore>, ScenarioError>> = distinct
+        .chunks(SHARD_CANDIDATES)
         .into_par_iter()
-        .map(|shard_idx| {
-            let mut scorer = DeltaFluidScorer::new(fabric.capacities());
-            let mut flows: Vec<DeltaFlow<'_>> = Vec::new();
-            let mut out = Vec::with_capacity(shards[shard_idx].len());
-            for (pos, &idx) in shards[shard_idx].iter().enumerate() {
-                // The shard's first candidate arms the session from scratch;
-                // later ones pay only for their delta. The span split lets
-                // `telemetry_trace --profile` attribute the two costs.
+        .map(|shard| {
+            let mut scorer = Scorer::with_mode(SolverMode::Batch);
+            let mut scores = Vec::with_capacity(shard.len());
+            for (pos, nodes) in shard.iter().enumerate() {
+                // `cand_full` (the shard's first candidate) and `cand_delta`
+                // (the rest) are the labels the per-layer benchmark metrics
+                // read; the simulation's own spans nest under them.
                 let span = telemetry.span(if pos == 0 { "cand_full" } else { "cand_delta" });
-                scorer.set_telemetry(span.telemetry().clone());
-                flows.clear();
-                for &a in &distinct[idx] {
-                    for &b in &distinct[idx] {
-                        if a != b {
-                            flows.push(DeltaFlow {
-                                key: pair_key(a, b),
-                                path: routes.path(a, b),
-                                gigabytes,
-                            });
-                        }
-                    }
-                }
-                let score = scorer.score_set(&flows);
+                scorer.fluid.set_telemetry(span.telemetry().clone());
+                scores.push(scorer.simulate_cached(fabric, routes, nodes, gigabytes)?);
+                // Nothing is carried between candidates: every flow is
+                // scored afresh.
                 span.telemetry().emit(TelemetryEvent::AdviceCandidate {
-                    reused_flows: score.stats.reused_flows as u64,
-                    total_flows: score.stats.total_flows as u64,
+                    reused_flows: 0,
+                    total_flows: scorer.sizes.len() as u64,
                 });
-                out.push((
-                    idx,
-                    CandidateScore {
-                        simulated_seconds: score.makespan,
-                        solves: score.rounds,
-                    },
-                ));
             }
-            out
+            Ok(scores)
         })
         .collect();
-    let mut rep_scores = vec![
-        CandidateScore {
-            simulated_seconds: 0.0,
-            solves: 0,
-        };
-        distinct.len()
-    ];
-    for shard in shard_scores {
-        for (idx, score) in shard {
-            rep_scores[idx] = score;
-        }
+    let mut scores = Vec::with_capacity(distinct.len());
+    for shard in shards {
+        scores.extend(shard?);
     }
-    rep_scores
+    Ok(scores)
 }
 
-/// Score each candidate node set's all-to-all exchange through the shared
-/// delta-solver sessions (the production advice path). Returns one score per
-/// candidate, in input order; bit-identical to [`score_candidates_reset`]
-/// at any thread cap.
-pub fn score_candidates_delta(
+/// Score each candidate node set's all-to-all exchange (the production
+/// advice path). Returns one score per candidate, in input order;
+/// bit-identical to [`score_candidates_reset`] at any thread cap.
+///
+/// # Errors
+/// A routing failure, or [`EngineError::NonFiniteTime`] when a candidate's
+/// simulated clock could overflow.
+///
+/// [`EngineError::NonFiniteTime`]: netpart_engine::EngineError::NonFiniteTime
+pub fn score_candidates(
     fabric: &Fabric,
     router: &dyn Router,
     candidates: &[Vec<usize>],
@@ -599,14 +549,14 @@ pub fn score_candidates_delta(
 ) -> Result<Vec<CandidateScore>, ScenarioError> {
     let (distinct, rep_of) = dedup_candidates(candidates);
     let routes = RouteCache::build(fabric, router, &distinct)?;
-    let rep_scores = score_distinct_with_routes(fabric, &routes, &distinct, gigabytes, telemetry);
-    Ok(rep_of.iter().map(|&slot| rep_scores[slot]).collect())
+    let scores = score_distinct_with_routes(fabric, &routes, &distinct, gigabytes, telemetry)?;
+    Ok(rep_of.iter().map(|&slot| scores[slot]).collect())
 }
 
-/// The retired reset-per-candidate scoring path: re-route and re-arm a
-/// [`FluidSim`] for every candidate. Kept as the benchmark baseline
-/// (`bench_advise`) and as the debug-build shadow reference the delta path
-/// is asserted against.
+/// The reset-per-candidate scoring path: re-route and re-arm a [`FluidSim`]
+/// for every candidate, under `mode`. Kept as the benchmark baseline
+/// (`bench_advise`) and as the debug-build shadow reference the production
+/// path is asserted against.
 pub fn score_candidates_reset(
     fabric: &Fabric,
     router: &dyn Router,
@@ -617,15 +567,10 @@ pub fn score_candidates_reset(
 ) -> Result<Vec<CandidateScore>, ScenarioError> {
     let mut scorer = Scorer::with_mode(mode);
     scorer.fluid.set_telemetry(telemetry.clone());
-    let mut scores = Vec::with_capacity(candidates.len());
-    for nodes in candidates {
-        let (simulated_seconds, solves) = scorer.simulate(fabric, router, nodes, gigabytes)?;
-        scores.push(CandidateScore {
-            simulated_seconds,
-            solves,
-        });
-    }
-    Ok(scores)
+    candidates
+        .iter()
+        .map(|nodes| scorer.simulate(fabric, router, nodes, gigabytes))
+        .collect()
 }
 
 /// Fraction of candidate pairs whose bound ordering matches their simulated
@@ -800,7 +745,8 @@ fn advise_on_fabric(
     telemetry: &Telemetry,
 ) -> Result<AdviceResult, ScenarioError> {
     // The solver-mode knob only matters for the debug shadow re-score below:
-    // the delta path is unconditional, and both modes are pinned identical.
+    // the production path always runs batch, and both modes are pinned
+    // identical.
     #[cfg(not(debug_assertions))]
     let _ = mode;
     let generate_span = telemetry.span("generate_cands");
@@ -818,7 +764,7 @@ fn advise_on_fabric(
     let router = spec.routing.build();
     let score_span = telemetry.span("score_cands");
     let node_sets: Vec<Vec<usize>> = candidates.iter().map(|(_, nodes)| nodes.clone()).collect();
-    let scores = score_candidates_delta(
+    let scores = score_candidates(
         fabric,
         router.as_ref(),
         &node_sets,
@@ -826,9 +772,10 @@ fn advise_on_fabric(
         score_span.telemetry(),
     )?;
     // Shadow-solver discipline: debug builds re-score every candidate
-    // through the retired reset-per-candidate path (under the requested
-    // solver mode) and insist on bitwise agreement, so any divergence in the
-    // delta machinery fails loudly in CI rather than skewing advice.
+    // through the reset-per-candidate path (under the requested solver
+    // mode) and insist on bitwise agreement, so any divergence in the
+    // route cache, the dedup or the shards fails loudly in CI rather than
+    // skewing advice.
     #[cfg(debug_assertions)]
     {
         let reference = score_candidates_reset(
@@ -839,13 +786,13 @@ fn advise_on_fabric(
             mode,
             &Telemetry::disabled(),
         )?;
-        for (candidate, (delta, reset)) in scores.iter().zip(&reference).enumerate() {
+        for (candidate, (shard, reset)) in scores.iter().zip(&reference).enumerate() {
             assert_eq!(
-                delta.simulated_seconds.to_bits(),
+                shard.simulated_seconds.to_bits(),
                 reset.simulated_seconds.to_bits(),
-                "delta-scored candidate {candidate} diverged from the reset path"
+                "candidate {candidate} diverged from the reset path"
             );
-            assert_eq!(delta.solves, reset.solves, "candidate {candidate}");
+            assert_eq!(shard.solves, reset.solves, "candidate {candidate}");
         }
     }
     drop(score_span);
@@ -857,7 +804,7 @@ fn advise_on_fabric(
 /// valid: candidates whose cached routes avoid every changed channel keep
 /// their simulated scores (routing is capacity-blind, so paths — and
 /// therefore rates over untouched channels — cannot move), while affected
-/// candidates are re-scored through the delta sessions. Bounds are
+/// candidates are re-scored as [`run_advice`] scores them. Bounds are
 /// recomputed for every candidate (escape cuts can cross channels a
 /// candidate's own flows never touch). With `base` absent — or computed for
 /// a different question — the sweep is simply recomputed on the patched
@@ -950,7 +897,7 @@ pub fn run_readvise_observed(
         &affected_sets,
         spec.gigabytes,
         score_span.telemetry(),
-    );
+    )?;
     drop(score_span);
     let mut fresh = fresh.into_iter();
     let scores: Vec<CandidateScore> = carried
@@ -1187,7 +1134,7 @@ mod tests {
         let router = spec.routing.build();
         let (candidates, _) = generate_candidates(&spec, &fabric).unwrap();
         let sets = candidate_sets(&candidates);
-        let delta = score_candidates_delta(
+        let scores = score_candidates(
             &fabric,
             router.as_ref(),
             &sets,
@@ -1205,30 +1152,12 @@ mod tests {
                 &Telemetry::disabled(),
             )
             .unwrap();
-            assert_eq!(delta.len(), reset.len());
-            for (d, r) in delta.iter().zip(&reset) {
+            assert_eq!(scores.len(), reset.len());
+            for (d, r) in scores.iter().zip(&reset) {
                 assert_eq!(d.simulated_seconds.to_bits(), r.simulated_seconds.to_bits());
                 assert_eq!(d.solves, r.solves);
             }
         }
-    }
-
-    #[test]
-    fn overlap_order_visits_every_candidate_once_and_chases_overlap() {
-        let sets = vec![
-            vec![0, 1, 2, 3],
-            vec![8, 9, 10, 11],
-            vec![2, 3, 4, 5],
-            vec![9, 10, 11, 12],
-        ];
-        let order = overlap_order(&sets);
-        let mut seen = order.clone();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3], "a permutation");
-        // From candidate 0, the 2-node overlap with candidate 2 beats the
-        // disjoint candidates 1 and 3.
-        assert_eq!(order[0], 0);
-        assert_eq!(order[1], 2);
     }
 
     fn torus_spec() -> AdviceSpec {

@@ -59,7 +59,7 @@ pub mod spec;
 pub use advice::{
     run_advice, run_advice_observed, run_advice_with, run_allocation_sweep,
     run_allocation_sweep_observed, run_allocation_sweep_with, run_readvise, run_readvise_observed,
-    run_readvise_with, score_candidates_delta, score_candidates_reset, AdviceResult, AdviceSpec,
+    run_readvise_with, score_candidates, score_candidates_reset, AdviceResult, AdviceSpec,
     AllocationSpec, CandidateResult, CandidateScore, MAX_ADVICE_CANDIDATES, MAX_RANDOM_SAMPLES,
 };
 pub use registry::{

@@ -818,7 +818,7 @@ mod tests {
         // overflow f64 before the run could finish (an arrival, an
         // exchange or a completion round). The engine used to panic on
         // these, which the server answered as `internal`.
-        use crate::protocol::{RoutingSpec, ScenarioSpec, TrafficSpec};
+        use crate::protocol::{AllocationSpec, RoutingSpec, ScenarioSpec, TrafficSpec};
         let cube = TopologySpec::Torus(vec![4, 4, 4]);
         let cluster = |mean_gap, gigabytes| Request::ClusterSim {
             topology: cube.clone(),
@@ -840,7 +840,33 @@ mod tests {
                 5
             ],
         };
-        for request in [cluster(1e308, 1.0), cluster(40.0, 1e308), shared] {
+        // A 12-node all-to-all at 1e308 GB per pair: each candidate's
+        // exchange would overflow the clock while it runs.
+        let advice = AdviceSpec {
+            topology: TopologySpec::Torus(vec![4, 4]),
+            routing: RoutingSpec::ShortestPath,
+            nodes: 12,
+            gigabytes: 1e308,
+            candidates: vec![
+                AllocationSpec::Blocked,
+                AllocationSpec::Greedy,
+                AllocationSpec::Scatter { stride: 3 },
+            ],
+            seed: 0,
+        };
+        let requests = [
+            cluster(1e308, 1.0),
+            cluster(40.0, 1e308),
+            shared,
+            Request::AdviseFabric {
+                spec: advice.clone(),
+            },
+            Request::Readvise {
+                spec: advice.clone(),
+                patch: FabricPatch::default(),
+            },
+        ];
+        for request in requests {
             let reply = Response::decode(&handle(&request).encode());
             assert!(
                 matches!(
@@ -880,6 +906,16 @@ mod tests {
                 assert!(results.iter().all(|line| !line.is_ok()), "{results:?}");
             }
             other => panic!("expected a sweep summary, got {other:?}"),
+        }
+        let sweep = handle(&Request::AllocationSweep {
+            specs: vec![advice],
+        });
+        match Response::decode(&sweep.encode()) {
+            Ok(Response::AllocationSweepSummary { results }) => {
+                assert_eq!(results.len(), 1);
+                assert!(results.iter().all(|line| !line.is_ok()), "{results:?}");
+            }
+            other => panic!("expected an allocation-sweep summary, got {other:?}"),
         }
     }
 }

@@ -207,6 +207,24 @@ impl<T: Object> Codec for T {
     }
 }
 
+/// A nested object that must be one: `null`, a number, a string or a list
+/// under its key is refused, where the blanket form would read each member
+/// as absent.
+struct Strict<T>(PhantomData<T>);
+
+impl<T: Object> Codec for Strict<T> {
+    type Item = T;
+
+    fn to_value(item: &T) -> Value {
+        object_value(item)
+    }
+
+    fn from_value(v: &Value, key: &str) -> Result<T, ProtocolError> {
+        v.as_obj().ok_or_else(|| missing(key))?;
+        T::get(v)
+    }
+}
+
 /// Omitted when `None`; absent or `null` reads as `None`.
 impl<C: Codec> Codec for Option<C> {
     type Item = Option<C::Item>;
@@ -637,7 +655,8 @@ pub enum Request {
     Readvise {
         /// The advice question, on the unpatched fabric.
         spec: AdviceSpec,
-        /// Capacity deltas to apply before re-advising.
+        /// Capacity deltas to apply before re-advising: a JSON object, in
+        /// which either list may be omitted.
         patch: FabricPatch,
     },
     /// Liveness probe.
@@ -670,7 +689,7 @@ tagged! {
         "sweep" => Sweep { scenarios: Vec<ScenarioSpec> },
         "advise_fabric" => AdviseFabric { spec: Flat<AdviceSpec> },
         "allocation_sweep" => AllocationSweep { specs: Vec<AdviceSpec> },
-        "readvise" => Readvise { spec: Flat<AdviceSpec>, patch: FabricPatch },
+        "readvise" => Readvise { spec: Flat<AdviceSpec>, patch: Strict<FabricPatch> },
         "health" => Health,
         "stats" => Stats,
         "shutdown" => Shutdown,
@@ -799,10 +818,11 @@ pub struct StatsSnapshot {
     pub solver_full_solves: u64,
     /// Fluid-simulation rounds completed across all handled requests.
     pub solver_rounds: u64,
-    /// Advice flows carried over between delta-scored candidates (telemetry
-    /// aggregate; 0 on snapshots from older servers).
+    /// Advice flows carried over from one scored candidate to the next
+    /// (telemetry aggregate). Reads 0: candidates are scored independently,
+    /// so nothing is carried over; kept on the wire for compatibility.
     pub advice_reused_flows: u64,
-    /// Advice flows scored in total, reused plus freshly inserted.
+    /// Advice flows scored in total.
     pub advice_total_flows: u64,
 }
 
@@ -817,8 +837,8 @@ impl StatsSnapshot {
         }
     }
 
-    /// Fraction of advice flows scored without re-arming the solver, in
-    /// `[0, 1]` (0 before any advice ran).
+    /// Fraction of advice flows carried over between candidates, in
+    /// `[0, 1]`; 0, like [`advice_reused_flows`](Self::advice_reused_flows).
     pub fn advice_reuse_rate(&self) -> f64 {
         if self.advice_total_flows == 0 {
             0.0
@@ -1410,9 +1430,17 @@ mod tests {
             panic!("expected readvise, got {decoded:?}");
         };
         assert!(patch.links.is_empty() && patch.nodes.is_empty());
-        // But the patch object itself is mandatory.
+        // But the patch object itself is mandatory, and must be an object.
         let without = line.replace(r#","patch":{}"#, "");
         assert!(Request::decode(&without).is_err());
+        for not_an_object in ["null", "1", r#""x""#, "[]"] {
+            let line = line.replace(r#""patch":{}"#, &format!(r#""patch":{not_an_object}"#));
+            assert_eq!(
+                Request::decode(&line).unwrap_err().to_string(),
+                "missing or invalid field 'patch'",
+                "{line}"
+            );
+        }
     }
 
     #[test]

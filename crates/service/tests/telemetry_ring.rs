@@ -232,10 +232,12 @@ fn advise_fabric_request_reconstructs_to_a_covering_span_tree() {
         "respond",
         "generate_cands",
         "score_cands",
-        // The delta-scored sweep: a full arm for each shard's first
-        // candidate, delta-diffed scoring for the rest.
+        // The sharded sweep: each shard's first candidate, then the rest,
+        // each simulated by a reused FluidSim whose spans nest under them.
         "cand_full",
         "cand_delta",
+        "csr_build",
+        "fluid_solve",
     ] {
         assert!(
             labels.contains(expected),

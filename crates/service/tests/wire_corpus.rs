@@ -736,21 +736,6 @@ fn lenient_request_corpus() -> Vec<(&'static str, Request)> {
                 },
             },
         ),
-        // A patch that is not an object reads as the empty patch.
-        (
-            r#"{"type":"readvise","topology":{"family":"torus","dims":[4,4]},"routing":{"kind":"shortest"},"nodes":16,"gigabytes":1.5,"candidates":[{"kind":"greedy"}],"seed":"9","patch":null}"#,
-            Request::Readvise {
-                spec: small_spec(
-                    TopologySpec::Torus(vec![4, 4]),
-                    RoutingSpec::ShortestPath,
-                    9,
-                ),
-                patch: FabricPatch {
-                    links: vec![],
-                    nodes: vec![],
-                },
-            },
-        ),
         // A health probe carrying a constant member.
         (r#"{"type":"health","status":"ok"}"#, Request::Health),
     ]
@@ -1076,6 +1061,11 @@ fn malformed_request_corpus() -> Vec<(&'static str, &'static str)> {
         (
             r#"{"type":"advise_fabric","topology":{"family":"torus","dims":[4,4]},"routing":{"kind":"dor"},"nodes":4,"gigabytes":1,"candidates":"greedy","seed":"0"}"#,
             r#"{"code":"bad_request","message":"missing or invalid field 'candidates'","type":"error"}"#,
+        ),
+        // A patch that is not an object is refused, not read as empty.
+        (
+            r#"{"type":"readvise","topology":{"family":"torus","dims":[4,4]},"routing":{"kind":"shortest"},"nodes":16,"gigabytes":1.5,"candidates":[{"kind":"greedy"}],"seed":"9","patch":null}"#,
+            r#"{"code":"bad_request","message":"missing or invalid field 'patch'","type":"error"}"#,
         ),
         (
             r#"{"type":"readvise","topology":{"family":"torus","dims":[4,4]},"routing":{"kind":"dor"},"nodes":4,"gigabytes":1,"candidates":[{"kind":"greedy"}],"seed":"0","patch":{"links":5}}"#,

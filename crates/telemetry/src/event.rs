@@ -172,11 +172,10 @@ pub enum TelemetryEvent {
         /// minutes) — the fallback when the matching begin was lapped.
         dur_micros: u32,
     },
-    /// The advice sweep scored one candidate allocation through the shared
-    /// delta solver session.
+    /// The advice sweep scored one distinct candidate allocation.
     AdviceCandidate {
-        /// Flows carried over from the previously scored candidate (zero
-        /// for the first candidate of a shard).
+        /// Flows carried over from the previously scored candidate: 0, since
+        /// every candidate is scored afresh (kept for the event layout).
         reused_flows: u64,
         /// Flows in the candidate's all-to-all exchange.
         total_flows: u64,

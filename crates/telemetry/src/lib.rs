@@ -96,9 +96,10 @@ pub struct CounterSnapshot {
     pub solver_full_solves: u64,
     /// Fluid-simulation rounds completed.
     pub solver_rounds: u64,
-    /// Advice flows carried over between delta-scored candidates.
+    /// Advice flows carried over between scored candidates. Reads 0: the
+    /// advice path scores every candidate afresh.
     pub advice_reused_flows: u64,
-    /// Advice flows scored in total (reused + freshly inserted).
+    /// Advice flows scored in total.
     pub advice_total_flows: u64,
 }
 

@@ -1,34 +1,32 @@
-//! Differential parity suite for the delta-scored advice sweep.
+//! Differential parity suite for the advice sweep's scoring.
 //!
-//! The advice sweep no longer resets its solver per candidate: candidates
-//! are greedily ordered by flow-set overlap, sharded into contiguous runs,
-//! and each shard is scored through one persistent [`DeltaFluidScorer`]
-//! session that removes/inserts only the symmetric difference between
-//! consecutive all-to-all flow sets. That is a pure execution optimization —
-//! these tests pin it:
+//! The advice sweep does not re-route and re-arm a simulation per
+//! candidate: duplicate candidates collapse onto one simulation, the
+//! distinct sets are cut into fixed shards in first-appearance order, and
+//! each shard scores its candidates through one reused `FluidSim` over a
+//! spec-scoped route cache. That is a pure execution optimization — these
+//! tests pin it:
 //!
-//! * Delta-scored sweeps must be **bit-identical** to the legacy
-//!   reset-per-candidate batch path, across random fabrics (torus /
-//!   dragonfly / fat-tree / expander), random candidate sets, and worker
-//!   thread caps 1 / 2 / 8 (via the vendored `rayon::set_max_threads`
+//! * Shard-scored sweeps must be **bit-identical** to the reset-per-
+//!   candidate batch path, across random fabrics (torus / dragonfly /
+//!   fat-tree / expander), random candidate sets in either order, and
+//!   worker thread caps 1 / 2 / 8 (via the vendored `rayon::set_max_threads`
 //!   override) — and to the reset path under the incremental solver mode.
 //! * Fabric-delta re-advice (`run_readvise`) patching a cached base sweep
 //!   must be bit-identical to a full recompute on the patched fabric, for
 //!   random link/node capacity patches, again at any thread cap.
 //!
 //! Debug builds double the coverage for free: `run_advice`/`run_readvise`
-//! shadow every delta-scored sweep with the reset scorer and assert
-//! bitwise agreement inline.
-//!
-//! [`DeltaFluidScorer`]: netpart::engine::DeltaFluidScorer
+//! shadow every sweep with the reset scorer and assert bitwise agreement
+//! inline.
 
 use netpart::engine::{
     DimensionOrdered, Fabric, FabricPatch, LinkPatch, NodePatch, Router, ShortestPath, SolverMode,
     Telemetry,
 };
 use netpart::scenario::{
-    build_fabric, run_advice, run_readvise, score_candidates_delta, score_candidates_reset,
-    AdviceResult, AdviceSpec, AllocationSpec, RoutingSpec, TopologySpec,
+    build_fabric, run_advice, run_readvise, score_candidates, score_candidates_reset, AdviceResult,
+    AdviceSpec, AllocationSpec, RoutingSpec, TopologySpec,
 };
 use netpart_bench::strategies::small_fabric;
 use proptest::prelude::*;
@@ -184,9 +182,11 @@ proptest! {
     #[test]
     fn delta_scoring_is_bit_identical_to_reset_scoring_at_any_thread_cap(
         fabric in small_fabric(),
+        // Up to 19 candidates, so a list spans up to three shards of eight
+        // and reversing it moves candidates between shards.
         raw in proptest::collection::vec(
             proptest::collection::vec(0usize..1 << 16, 2..10),
-            1..8,
+            1..20,
         ),
         gigabytes in (5u64..200).prop_map(|g| g as f64 / 100.0),
     ) {
@@ -198,7 +198,7 @@ proptest! {
             &fabric, router.as_ref(), &candidates, gigabytes,
             SolverMode::Batch, &telemetry,
         ).expect("strategy emits only routable candidates");
-        // The reset path is also mode-stable; the delta path must match
+        // The reset path is also mode-stable; the shard path must match
         // both faces of it.
         let incremental = score_candidates_reset(
             &fabric, router.as_ref(), &candidates, gigabytes,
@@ -210,24 +210,35 @@ proptest! {
             );
             prop_assert_eq!(r.solves, i.solves);
         }
-        for cap in [1usize, 2, 8] {
-            rayon::set_max_threads(cap);
-            let delta = score_candidates_delta(
-                &fabric, router.as_ref(), &candidates, gigabytes, &telemetry,
-            ).expect("routable");
-            rayon::set_max_threads(0);
-            prop_assert_eq!(delta.len(), reference.len());
-            for (i, (d, r)) in delta.iter().zip(&reference).enumerate() {
-                prop_assert_eq!(
-                    d.simulated_seconds.to_bits(),
-                    r.simulated_seconds.to_bits(),
-                    "candidate {} diverged at thread cap {}: {} vs {}",
-                    i, cap, d.simulated_seconds, r.simulated_seconds
-                );
-                prop_assert_eq!(
-                    d.solves, r.solves,
-                    "solve count of candidate {} diverged at cap {}", i, cap
-                );
+        // Candidate order decides which shard a candidate lands in and
+        // which candidates it follows there; the reversed list must score
+        // every candidate identically.
+        let reversed: Vec<Vec<usize>> = candidates.iter().rev().cloned().collect();
+        let reversed_reference: Vec<_> = reference.iter().rev().copied().collect();
+        for (order, sets, expected) in [
+            ("input", &candidates, &reference),
+            ("reversed", &reversed, &reversed_reference),
+        ] {
+            for cap in [1usize, 2, 8] {
+                rayon::set_max_threads(cap);
+                let scores = score_candidates(
+                    &fabric, router.as_ref(), sets, gigabytes, &telemetry,
+                ).expect("routable");
+                rayon::set_max_threads(0);
+                prop_assert_eq!(scores.len(), expected.len());
+                for (i, (score, r)) in scores.iter().zip(expected).enumerate() {
+                    prop_assert_eq!(
+                        score.simulated_seconds.to_bits(),
+                        r.simulated_seconds.to_bits(),
+                        "candidate {} ({} order) diverged at thread cap {}: {} vs {}",
+                        i, order, cap, score.simulated_seconds, r.simulated_seconds
+                    );
+                    prop_assert_eq!(
+                        score.solves, r.solves,
+                        "solve count of candidate {} ({} order) diverged at cap {}",
+                        i, order, cap
+                    );
+                }
             }
         }
     }
