@@ -77,15 +77,15 @@ fn main() {
         let reset_scores = score_reset(&fabric, &router, &candidates, gigabytes);
         let checksum = scores_checksum(&reset_scores);
         for cap in [1usize, 2, 8] {
-            rayon::set_max_threads(cap);
-            let delta_scores = score_delta(&fabric, &router, &candidates, gigabytes);
+            let delta_scores = rayon::with_max_threads(cap, || {
+                score_delta(&fabric, &router, &candidates, gigabytes)
+            });
             assert_eq!(
                 scores_checksum(&delta_scores),
                 checksum,
                 "shard scoring diverged from the reset path at thread cap {cap} ({count} candidates)"
             );
         }
-        rayon::set_max_threads(0);
         let reset = time_best(|| score_reset(&fabric, &router, &candidates, gigabytes));
         let delta = time_best(|| score_delta(&fabric, &router, &candidates, gigabytes));
         entries.push((format!("advise_{count}x4_reset"), "seconds", reset));

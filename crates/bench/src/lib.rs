@@ -185,7 +185,7 @@ pub mod engine_workloads {
 pub mod advise_workloads {
     use netpart_engine::{
         route_flows, route_flows_csr, Allocator, BlockedAllocator, ChannelId, CompactAllocator,
-        Fabric, Flow, FluidSim, RandomAllocator, Router, ScatterAllocator, SolverMode, Telemetry,
+        Exec, Fabric, Flow, FluidSim, RandomAllocator, Router, ScatterAllocator, Telemetry,
     };
     use netpart_scenario::CandidateScore;
     use netpart_topology::Torus;
@@ -302,8 +302,7 @@ pub mod advise_workloads {
             router,
             candidates,
             gigabytes,
-            SolverMode::Batch,
-            &Telemetry::disabled(),
+            Exec::default(),
         )
         .expect("candidates route")
     }

@@ -24,14 +24,13 @@
 //! engine component.
 
 use crate::error::EngineError;
+use crate::exec::Exec;
 use crate::fabric::Fabric;
 use crate::flowsim::{route_flows_csr, Flow};
 use crate::fluid::FluidSim;
-use crate::incremental::SolverMode;
 use crate::maxmin::ChannelId;
 use crate::router::Router;
 use crate::sim::{Component, Context, Simulation};
-use netpart_telemetry::Telemetry;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
@@ -465,41 +464,28 @@ pub fn simulate_cluster(
     allocator: Box<dyn Allocator>,
     jobs: &[ClusterJob],
 ) -> Result<ClusterMetrics, EngineError> {
-    simulate_cluster_with(fabric, router, allocator, jobs, SolverMode::default())
+    simulate_cluster_with(fabric, router, allocator, jobs, Exec::default())
 }
 
-/// [`simulate_cluster`] with an explicit max–min solver mode for the
-/// per-event penalty evaluations. Both modes produce bit-identical metrics
-/// (pinned by `tests/incremental_parity.rs`); [`SolverMode::Incremental`]
-/// repairs rates per completion round instead of re-solving the whole mix.
+/// [`simulate_cluster`] under explicit execution choices: the event loop
+/// runs on `exec.queue` and emits progress heartbeats through
+/// `exec.telemetry`; the per-event penalty evaluations run `exec.solver`
+/// and emit per-round (and per-repair) events through it too. Every choice
+/// gives bit-identical metrics (pinned by `tests/incremental_parity.rs`
+/// and `tests/queue_parity.rs`).
 pub fn simulate_cluster_with(
     fabric: &Fabric,
     router: Box<dyn Router>,
     allocator: Box<dyn Allocator>,
     jobs: &[ClusterJob],
-    mode: SolverMode,
+    exec: impl Into<Exec>,
 ) -> Result<ClusterMetrics, EngineError> {
-    simulate_cluster_observed(fabric, router, allocator, jobs, mode, Telemetry::disabled())
-}
-
-/// [`simulate_cluster_with`] with a telemetry sink: the event loop emits
-/// periodic progress heartbeats and the embedded fluid solver emits
-/// per-round / per-repair events through `telemetry`. Telemetry never
-/// influences the simulation — the metrics are bit-identical to the
-/// unobserved run.
-pub fn simulate_cluster_observed(
-    fabric: &Fabric,
-    router: Box<dyn Router>,
-    allocator: Box<dyn Allocator>,
-    jobs: &[ClusterJob],
-    mode: SolverMode,
-    telemetry: Telemetry,
-) -> Result<ClusterMetrics, EngineError> {
+    let exec = exec.into();
     let outcomes = Rc::new(RefCell::new(Vec::new()));
     let error = Rc::new(RefCell::new(None));
     let labels = (fabric.name().to_string(), router.label(), allocator.label());
-    let mut fluid = FluidSim::empty_with_mode(mode);
-    fluid.set_telemetry(telemetry.clone());
+    let mut fluid = FluidSim::empty_with_mode(exec.solver);
+    fluid.set_telemetry(exec.telemetry.clone());
     let scheduler = ClusterScheduler {
         free: vec![true; fabric.num_nodes()],
         fabric: fabric.clone(),
@@ -515,8 +501,8 @@ pub fn simulate_cluster_observed(
         route_data: Vec::new(),
         sizes_buf: Vec::new(),
     };
-    let mut sim = Simulation::new();
-    sim.set_telemetry(telemetry);
+    let mut sim = Simulation::with_queue_kind(exec.queue);
+    sim.set_telemetry(exec.telemetry);
     let sched_id = sim.add_component("cluster-scheduler", Box::new(scheduler));
     for job in jobs {
         if job.nodes == 0 || job.nodes > fabric.num_nodes() {
@@ -759,20 +745,25 @@ mod tests {
     fn solver_modes_give_identical_cluster_metrics() {
         let fabric = Fabric::from_torus(Torus::new(vec![4, 4]), 2.0);
         let jobs = stream();
-        let batch = simulate_cluster_with(
+        let batch = simulate_cluster(
             &fabric,
             Box::new(ShortestPath),
             Box::new(CompactAllocator),
             &jobs,
-            SolverMode::Batch,
         )
         .unwrap();
+        // The other face of every execution choice: incremental repairs on
+        // the heap queue.
         let incremental = simulate_cluster_with(
             &fabric,
             Box::new(ShortestPath),
             Box::new(CompactAllocator),
             &jobs,
-            SolverMode::Incremental,
+            Exec {
+                solver: crate::SolverMode::Incremental,
+                queue: crate::QueueKind::Heap,
+                ..Exec::default()
+            },
         )
         .unwrap();
         assert_eq!(batch.makespan.to_bits(), incremental.makespan.to_bits());

@@ -9,9 +9,10 @@
 //! # Queue kinds
 //!
 //! Two interchangeable cores implement that contract, selected by
-//! [`QueueKind`] — an *execution* knob like the solver's
-//! [`SolverMode`](crate::SolverMode): it never appears in scenario specs or
-//! cache keys, because the popped sequence is identical either way.
+//! [`QueueKind`] — an *execution* choice like the solver's
+//! [`SolverMode`](crate::SolverMode), carried with it in an
+//! [`Exec`](crate::Exec): it never appears in scenario specs or cache keys,
+//! because the popped sequence is identical either way.
 //!
 //! * [`QueueKind::Heap`] — the classic binary min-heap. `O(log n)`
 //!   push/pop; at millions of pending events every operation walks ~20
@@ -34,7 +35,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 
 /// Identifier of a registered component (dense, assigned at registration).
 pub type ComponentId = usize;
@@ -59,11 +59,11 @@ pub struct Event<P> {
 
 /// Which pending-event structure an [`EventQueue`] uses.
 ///
-/// Purely an execution knob: both kinds pop the identical `(time, id)`
+/// Purely an execution choice: both kinds pop the identical `(time, id)`
 /// sequence, so the choice never enters scenario specs or cache keys.
-/// The process-wide default is [`QueueKind::Calendar`]; services and
-/// benches can override it globally ([`QueueKind::set_process_default`])
-/// or per queue ([`EventQueue::with_kind`]).
+/// The default is [`QueueKind::Calendar`]; a computation picks another per
+/// queue ([`EventQueue::with_kind`]), usually through
+/// [`Exec::queue`](crate::Exec::queue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
     /// Binary min-heap: `O(log n)` operations, the reference core.
@@ -72,9 +72,6 @@ pub enum QueueKind {
     #[default]
     Calendar,
 }
-
-/// Process-wide default queue kind, as a `u8` (0 = heap, 1 = calendar).
-static PROCESS_DEFAULT_KIND: AtomicU8 = AtomicU8::new(1);
 
 impl QueueKind {
     /// Stable label, e.g. for CLI flags and telemetry (`"heap"` /
@@ -92,23 +89,6 @@ impl QueueKind {
             "heap" => Some(QueueKind::Heap),
             "calendar" => Some(QueueKind::Calendar),
             _ => None,
-        }
-    }
-
-    /// Set the process-wide default used by [`EventQueue::new`] (and thus
-    /// every simulation constructed without an explicit kind). Intended for
-    /// process entry points — the service's `--queue` flag, bench binaries —
-    /// not for toggling mid-run: queues already built keep their core.
-    pub fn set_process_default(kind: QueueKind) {
-        PROCESS_DEFAULT_KIND.store(kind as u8, AtomicOrdering::Relaxed);
-    }
-
-    /// The current process-wide default ([`QueueKind::Calendar`] unless
-    /// overridden).
-    pub fn process_default() -> Self {
-        match PROCESS_DEFAULT_KIND.load(AtomicOrdering::Relaxed) {
-            0 => QueueKind::Heap,
-            _ => QueueKind::Calendar,
         }
     }
 }
@@ -364,9 +344,9 @@ impl<P> Default for EventQueue<P> {
 }
 
 impl<P> EventQueue<P> {
-    /// An empty queue using the process-default [`QueueKind`].
+    /// An empty queue using the default [`QueueKind`].
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::process_default())
+        Self::with_kind(QueueKind::default())
     }
 
     /// An empty queue with an explicit core.

@@ -1,11 +1,8 @@
-//! The flow-simulation scenario: fluid flows on any fabric, driven by the
-//! event queue.
+//! The flow-simulation scenario: fluid flows on any fabric.
 //!
-//! Route a flow set with any [`Router`], then let a single driver component
-//! walk the [`FluidSim`] state machine, one completion round per event. The
-//! result is bit-identical to running the same `FluidSim` in a plain loop.
-//! The paper's torus experiments (kernels, CAPS, bisection pairing) all run
-//! through [`simulate_flows`] with
+//! Route a flow set with any [`Router`], then run the [`FluidSim`] to
+//! completion. The paper's torus experiments (kernels, CAPS, bisection
+//! pairing) all run through [`simulate_flows`] with
 //! [`DimensionOrdered`](crate::DimensionOrdered) routing on
 //! [`Fabric::from_torus`] fabrics; [`pairing_flows`] generates the
 //! bisection-pairing traffic.
@@ -15,9 +12,6 @@ use crate::fabric::Fabric;
 use crate::fluid::{FluidOutcome, FluidSim};
 use crate::maxmin::ChannelId;
 use crate::router::Router;
-use crate::sim::{Component, Context, Simulation};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// A point-to-point message to be delivered.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,41 +55,6 @@ pub fn pairing_flows(fabric: &Fabric, gigabytes: f64) -> Vec<Flow> {
     flows
 }
 
-/// Events of the flow scenario: one rate-recomputation round per event.
-#[derive(Debug, Clone, Copy)]
-enum FlowEvent {
-    Round,
-}
-
-/// The single component of the scenario; owns the fluid state machine and
-/// publishes the outcome through a shared cell when the last flow completes.
-struct FlowDriver {
-    fluid: Option<FluidSim>,
-    outcome: Rc<RefCell<Option<FluidOutcome>>>,
-}
-
-impl Component<FlowEvent> for FlowDriver {
-    fn on_event(&mut self, event: crate::Event<FlowEvent>, ctx: &mut Context<'_, FlowEvent>) {
-        let FlowEvent::Round = event.payload;
-        let fluid = self.fluid.as_mut().expect("driver still running");
-        match fluid.advance_round() {
-            Some(next_time) => {
-                if fluid.is_done() {
-                    let fluid = self.fluid.take().expect("present above");
-                    *self.outcome.borrow_mut() = Some(fluid.into_outcome());
-                } else {
-                    ctx.emit_at(FlowEvent::Round, ctx.self_id(), next_time);
-                }
-            }
-            None => {
-                // Nothing was active (e.g. every flow was intra-node).
-                let fluid = self.fluid.take().expect("present above");
-                *self.outcome.borrow_mut() = Some(fluid.into_outcome());
-            }
-        }
-    }
-}
-
 /// Route every flow with `router` (pure; errors abort the whole set so a
 /// sweep can skip the case rather than crash).
 pub fn route_flows(
@@ -132,7 +91,7 @@ pub fn route_flows_csr(
 }
 
 /// Simulate `flows` on `fabric` under `router` to completion with max–min
-/// fair sharing, driving the fluid core through the discrete-event engine.
+/// fair sharing.
 pub fn simulate_flows(
     fabric: &Fabric,
     router: &dyn Router,
@@ -140,24 +99,10 @@ pub fn simulate_flows(
 ) -> Result<FluidOutcome, EngineError> {
     let paths = route_flows(fabric, router, flows)?;
     let sizes: Vec<f64> = flows.iter().map(|f| f.gigabytes).collect();
-    let fluid = FluidSim::new(&paths, fabric.capacities(), &sizes);
+    let mut fluid = FluidSim::new(&paths, fabric.capacities(), &sizes);
     fluid.makespan_bound()?;
-    let outcome = Rc::new(RefCell::new(None));
-    let mut sim = Simulation::new();
-    let driver = sim.add_component(
-        "flow-driver",
-        Box::new(FlowDriver {
-            fluid: Some(fluid),
-            outcome: Rc::clone(&outcome),
-        }),
-    );
-    sim.schedule(0.0, driver, FlowEvent::Round);
-    sim.run();
-    let result = outcome
-        .borrow_mut()
-        .take()
-        .expect("driver publishes an outcome before the queue drains");
-    Ok(result)
+    fluid.run_to_completion();
+    Ok(fluid.into_outcome())
 }
 
 /// The static contention estimate (ablation baseline): the makespan is the
@@ -199,25 +144,6 @@ mod tests {
         // 4 GB at 2 GB/s, no contention: 2 seconds regardless of hop count.
         assert!((out.makespan - 2.0).abs() < 1e-9);
         assert_eq!(out.rounds, 1);
-    }
-
-    #[test]
-    fn torus_event_driven_sim_matches_direct_fluid_loop() {
-        let fabric = Fabric::from_torus(Torus::new(vec![4, 4, 2]), 2.0);
-        let flows: Vec<Flow> = (0..fabric.num_nodes())
-            .map(|src| Flow {
-                src,
-                dst: (src + 7) % fabric.num_nodes(),
-                gigabytes: 0.5,
-            })
-            .collect();
-        let router = DimensionOrdered::default();
-        let event_driven = simulate_flows(&fabric, &router, &flows).unwrap();
-        let paths = route_flows(&fabric, &router, &flows).unwrap();
-        let sizes: Vec<f64> = flows.iter().map(|f| f.gigabytes).collect();
-        let mut direct = FluidSim::new(&paths, fabric.capacities(), &sizes);
-        direct.run_to_completion();
-        assert_eq!(event_driven, direct.into_outcome());
     }
 
     #[test]

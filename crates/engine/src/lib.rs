@@ -7,10 +7,11 @@
 //!
 //! 1. **The event core** ([`event`], [`sim`]) — an event queue with
 //!    deterministic `(time, id)` tie-breaking (a bucketed calendar queue by
-//!    default, with a binary-heap reference core behind the [`QueueKind`]
-//!    knob), an `f64` clock, typed event payloads, and component/handler
-//!    registration in the style of dslab: components implement [`Component`]
-//!    and exchange payloads through [`Context::emit`].
+//!    default, with a binary-heap reference core selected by
+//!    [`QueueKind`]), an `f64` clock, typed event payloads, and
+//!    component/handler registration in the style of dslab: components
+//!    implement [`Component`] and exchange payloads through
+//!    [`Context::emit`].
 //! 2. **The fabric** ([`fabric`], [`router`], [`maxmin`], [`fluid`]) — any
 //!    [`netpart_topology::Topology`] becomes a [`Fabric`] of directed
 //!    channels; a [`Router`] (dimension-ordered on tori, shortest-path /
@@ -18,10 +19,14 @@
 //!    core turns routed flows into completion times. This is the only flow
 //!    simulator in the workspace: the paper's torus experiments run through
 //!    it too.
-//! 3. **Scenarios** ([`flowsim`], [`cluster`]) — the flow simulation and a
-//!    dynamic job-stream scheduler, both expressed as engine components, and
-//!    both running unchanged on tori, Dragonflies, fat-trees, Slim Flies,
-//!    expanders and hypercubes.
+//! 3. **Scenarios** ([`flowsim`], [`cluster`]) — the flow simulation (one
+//!    fluid run to completion) and a dynamic job-stream scheduler (an
+//!    engine component), both running unchanged on tori, Dragonflies,
+//!    fat-trees, Slim Flies, expanders and hypercubes.
+//!
+//! How a computation runs — solver mode, queue core, telemetry sink — is
+//! one [`Exec`] value passed in explicitly ([`exec`]); no choice changes an
+//! answer, and none is process-global.
 //!
 //! # The event model
 //!
@@ -44,8 +49,7 @@
 //!    initial events with [`Simulation::schedule`], and call
 //!    [`Simulation::run`].
 //! 4. Publish results through an `Rc<RefCell<…>>` handle shared between the
-//!    component and the caller (see [`flowsim`] for a minimal example and
-//!    [`cluster`] for a stateful one).
+//!    component and the caller (see [`cluster`] for a stateful example).
 //!
 //! ```
 //! use netpart_engine::{Component, Context, Event, Simulation};
@@ -93,6 +97,7 @@
 pub mod cluster;
 pub mod error;
 pub mod event;
+pub mod exec;
 pub mod fabric;
 pub mod flowsim;
 pub mod fluid;
@@ -102,12 +107,13 @@ pub mod router;
 pub mod sim;
 
 pub use cluster::{
-    simulate_cluster, simulate_cluster_observed, simulate_cluster_with, synthetic_job_stream,
-    Allocator, BlockedAllocator, ClusterJob, ClusterMetrics, ClusterOutcome, CompactAllocator,
-    RandomAllocator, ScatterAllocator,
+    simulate_cluster, simulate_cluster_with, synthetic_job_stream, Allocator, BlockedAllocator,
+    ClusterJob, ClusterMetrics, ClusterOutcome, CompactAllocator, RandomAllocator,
+    ScatterAllocator,
 };
 pub use error::EngineError;
 pub use event::{ComponentId, Event, EventId, EventQueue, QueueKind};
+pub use exec::Exec;
 pub use fabric::{Channel, Fabric, FabricPatch, LinkPatch, NodePatch};
 pub use flowsim::{
     pairing_flows, route_flows, route_flows_csr, simulate_flows, static_estimate, Flow,

@@ -91,15 +91,15 @@ impl<P> Default for Simulation<P> {
 }
 
 impl<P> Simulation<P> {
-    /// A fresh simulation with the clock at 0, using the process-default
+    /// A fresh simulation with the clock at 0, using the default
     /// [`QueueKind`].
     pub fn new() -> Self {
-        Self::with_queue_kind(QueueKind::process_default())
+        Self::with_queue_kind(QueueKind::default())
     }
 
     /// A fresh simulation with an explicit event-queue kind. Purely an
-    /// execution knob — the delivered event sequence is identical for every
-    /// kind (see [`QueueKind`]).
+    /// execution choice — the delivered event sequence is identical for
+    /// every kind (see [`QueueKind`]).
     pub fn with_queue_kind(kind: QueueKind) -> Self {
         Self {
             queue: EventQueue::with_kind(kind),

@@ -39,8 +39,8 @@ use crate::run::ScenarioError;
 use crate::spec::{build_fabric, RoutingSpec, TopologySpec, MAX_FLOWS};
 use netpart_contention::{internal_bisection_gbs_with, ContentionModel, Kernel, SweepOrders};
 use netpart_engine::{
-    route_flows_csr, Allocator, BlockedAllocator, ChannelId, CompactAllocator, Fabric, FabricPatch,
-    Flow, FluidSim, RandomAllocator, Router, ScatterAllocator, SolverMode, Telemetry,
+    route_flows_csr, Allocator, BlockedAllocator, ChannelId, CompactAllocator, Exec, Fabric,
+    FabricPatch, Flow, FluidSim, RandomAllocator, Router, ScatterAllocator, SolverMode, Telemetry,
     TelemetryEvent,
 };
 use netpart_topology::torus::Cuboid;
@@ -434,11 +434,14 @@ struct RouteCache {
 }
 
 impl RouteCache {
+    /// Route the candidates' pairs, under a `route` span.
     fn build(
         fabric: &Fabric,
         router: &dyn Router,
         candidates: &[Vec<usize>],
+        telemetry: &Telemetry,
     ) -> Result<Self, ScenarioError> {
+        let _span = telemetry.span("route");
         let mut cache = RouteCache {
             index: HashMap::new(),
             offsets: vec![0],
@@ -466,10 +469,10 @@ impl RouteCache {
     }
 }
 
-/// The scoring core: duplicate candidates collapse onto one simulation and
-/// the distinct sets go through fixed shards, one reused [`FluidSim`] per
-/// shard, routes from the shared cache. Results come back in the *input*
-/// order of `candidates`.
+/// The scoring core: the distinct node sets of [`dedup_candidates`] go
+/// through fixed shards, one reused [`FluidSim`] per shard, routes from the
+/// shared cache. Returns one score per *input* candidate, candidate `i`
+/// reading the score of its distinct set `rep_of[i]`.
 ///
 /// Scores depend only on a candidate's own flow multiset, never on what
 /// the shard's simulation scored before it (the parity suite and the debug
@@ -483,21 +486,7 @@ impl RouteCache {
 fn score_with_routes(
     fabric: &Fabric,
     routes: &RouteCache,
-    candidates: &[Vec<usize>],
-    gigabytes: f64,
-    telemetry: &Telemetry,
-) -> Result<Vec<CandidateScore>, ScenarioError> {
-    let (distinct, rep_of) = dedup_candidates(candidates);
-    let scores = score_distinct_with_routes(fabric, routes, &distinct, gigabytes, telemetry)?;
-    Ok(rep_of.iter().map(|&slot| scores[slot]).collect())
-}
-
-/// [`score_with_routes`] minus the dedup wrapper: score each of the
-/// already-distinct node sets, returning one score per set in input order.
-fn score_distinct_with_routes(
-    fabric: &Fabric,
-    routes: &RouteCache,
-    distinct: &[Vec<usize>],
+    (distinct, rep_of): (Vec<Vec<usize>>, Vec<usize>),
     gigabytes: f64,
     telemetry: &Telemetry,
 ) -> Result<Vec<CandidateScore>, ScenarioError> {
@@ -528,7 +517,7 @@ fn score_distinct_with_routes(
     for shard in shards {
         scores.extend(shard?);
     }
-    Ok(scores)
+    Ok(rep_of.iter().map(|&slot| scores[slot]).collect())
 }
 
 /// Score each candidate node set's all-to-all exchange (the production
@@ -547,26 +536,25 @@ pub fn score_candidates(
     gigabytes: f64,
     telemetry: &Telemetry,
 ) -> Result<Vec<CandidateScore>, ScenarioError> {
-    let (distinct, rep_of) = dedup_candidates(candidates);
-    let routes = RouteCache::build(fabric, router, &distinct)?;
-    let scores = score_distinct_with_routes(fabric, &routes, &distinct, gigabytes, telemetry)?;
-    Ok(rep_of.iter().map(|&slot| scores[slot]).collect())
+    let dedup = dedup_candidates(candidates);
+    let routes = RouteCache::build(fabric, router, &dedup.0, telemetry)?;
+    score_with_routes(fabric, &routes, dedup, gigabytes, telemetry)
 }
 
 /// The reset-per-candidate scoring path: re-route and re-arm a [`FluidSim`]
-/// for every candidate, under `mode`. Kept as the benchmark baseline
-/// (`bench_advise`) and as the debug-build shadow reference the production
-/// path is asserted against.
+/// for every candidate, running `exec.solver` and reporting through
+/// `exec.telemetry`. Kept as the benchmark baseline (`bench_advise`) and as
+/// the debug-build shadow reference the production path is asserted
+/// against.
 pub fn score_candidates_reset(
     fabric: &Fabric,
     router: &dyn Router,
     candidates: &[Vec<usize>],
     gigabytes: f64,
-    mode: SolverMode,
-    telemetry: &Telemetry,
+    exec: Exec,
 ) -> Result<Vec<CandidateScore>, ScenarioError> {
-    let mut scorer = Scorer::with_mode(mode);
-    scorer.fluid.set_telemetry(telemetry.clone());
+    let mut scorer = Scorer::with_mode(exec.solver);
+    scorer.fluid.set_telemetry(exec.telemetry);
     candidates
         .iter()
         .map(|nodes| scorer.simulate(fabric, router, nodes, gigabytes))
@@ -599,32 +587,27 @@ fn ordering_agreement(candidates: &[CandidateResult]) -> f64 {
 /// Answer one advice spec: generate the candidates, score each by bound and
 /// by simulation, and return them ranked.
 pub fn run_advice(spec: &AdviceSpec) -> Result<AdviceResult, ScenarioError> {
-    run_advice_with(spec, SolverMode::default())
+    run_advice_with(spec, Exec::default())
 }
 
-/// [`run_advice`] with an explicit max–min solver mode for the candidate
-/// simulations. The mode is an execution knob, not part of the question:
-/// it never appears in [`AdviceSpec`] (so cache keys and response bytes are
-/// mode-independent) and both modes return identical results, pinned by
-/// `tests/advice_parity.rs` and `tests/incremental_parity.rs`.
-pub fn run_advice_with(spec: &AdviceSpec, mode: SolverMode) -> Result<AdviceResult, ScenarioError> {
-    run_advice_observed(spec, mode, &Telemetry::disabled())
-}
-
-/// [`run_advice_with`] with a telemetry sink: the candidate-scoring fluid
-/// simulations emit per-round (and, in incremental mode, per-repair) events
-/// through `telemetry`. Observability never changes the advice.
-pub fn run_advice_observed(
+/// [`run_advice`] under explicit execution choices. The spans and events of
+/// candidate generation and scoring (per candidate, per fluid round) go
+/// through `exec.telemetry`. Release builds score every candidate on the
+/// batch solver; `exec.solver` reaches only the debug-build shadow
+/// re-score, which checks the production path against
+/// [`score_candidates_reset`] under that mode. No choice changes the
+/// advice, pinned by `tests/advice_parity.rs` and
+/// `tests/incremental_parity.rs`.
+pub fn run_advice_with(
     spec: &AdviceSpec,
-    mode: SolverMode,
-    telemetry: &Telemetry,
+    exec: impl Into<Exec>,
 ) -> Result<AdviceResult, ScenarioError> {
     let fabric = validate_spec(spec)?;
-    advise_on_fabric(spec, &fabric, mode, telemetry)
+    advise_on_fabric(spec, &fabric, &exec.into())
 }
 
-/// The spec-level validation shared by [`run_advice_observed`] and
-/// [`run_readvise_observed`]: checks everything that does not depend on the
+/// The spec-level validation shared by [`run_advice_with`] and
+/// [`run_readvise_with`]: checks everything that does not depend on the
 /// candidate list and returns the built fabric.
 fn validate_spec(spec: &AdviceSpec) -> Result<Fabric, ScenarioError> {
     if spec.candidates.is_empty() {
@@ -741,14 +724,9 @@ fn assemble_result(
 fn advise_on_fabric(
     spec: &AdviceSpec,
     fabric: &Fabric,
-    mode: SolverMode,
-    telemetry: &Telemetry,
+    exec: &Exec,
 ) -> Result<AdviceResult, ScenarioError> {
-    // The solver-mode knob only matters for the debug shadow re-score below:
-    // the production path always runs batch, and both modes are pinned
-    // identical.
-    #[cfg(not(debug_assertions))]
-    let _ = mode;
+    let telemetry = &exec.telemetry;
     let generate_span = telemetry.span("generate_cands");
     let (candidates, truncated) = generate_candidates(spec, fabric)?;
     drop(generate_span);
@@ -773,7 +751,8 @@ fn advise_on_fabric(
     )?;
     // Shadow-solver discipline: debug builds re-score every candidate
     // through the reset-per-candidate path (under the requested solver
-    // mode) and insist on bitwise agreement, so any divergence in the
+    // mode, the only use of `exec.solver` here: the production path always
+    // runs batch) and insist on bitwise agreement, so any divergence in the
     // route cache, the dedup or the shards fails loudly in CI rather than
     // skewing advice.
     #[cfg(debug_assertions)]
@@ -783,8 +762,7 @@ fn advise_on_fabric(
             router.as_ref(),
             &node_sets,
             spec.gigabytes,
-            mode,
-            &Telemetry::disabled(),
+            exec.with_telemetry(&Telemetry::disabled()),
         )?;
         for (candidate, (shard, reset)) in scores.iter().zip(&reference).enumerate() {
             assert_eq!(
@@ -815,28 +793,19 @@ pub fn run_readvise(
     patch: &FabricPatch,
     base: Option<&AdviceResult>,
 ) -> Result<AdviceResult, ScenarioError> {
-    run_readvise_with(spec, patch, base, SolverMode::default())
+    run_readvise_with(spec, patch, base, Exec::default())
 }
 
-/// [`run_readvise`] with an explicit max–min solver mode (see
+/// [`run_readvise`] under explicit execution choices (see
 /// [`run_advice_with`]).
 pub fn run_readvise_with(
     spec: &AdviceSpec,
     patch: &FabricPatch,
     base: Option<&AdviceResult>,
-    mode: SolverMode,
+    exec: impl Into<Exec>,
 ) -> Result<AdviceResult, ScenarioError> {
-    run_readvise_observed(spec, patch, base, mode, &Telemetry::disabled())
-}
-
-/// [`run_readvise_with`] with a telemetry sink (see [`run_advice_observed`]).
-pub fn run_readvise_observed(
-    spec: &AdviceSpec,
-    patch: &FabricPatch,
-    base: Option<&AdviceResult>,
-    mode: SolverMode,
-    telemetry: &Telemetry,
-) -> Result<AdviceResult, ScenarioError> {
+    let exec = exec.into();
+    let telemetry = &exec.telemetry;
     let fabric = validate_spec(spec)?;
     let (patched, changed) = fabric.patched(patch)?;
     // A base computed for a different question (or none at all) has nothing
@@ -844,7 +813,7 @@ pub fn run_readvise_observed(
     let base = base
         .filter(|b| b.label == spec.label() && b.nodes == spec.nodes && b.fabric == patched.name());
     let Some(base) = base else {
-        return advise_on_fabric(spec, &patched, mode, telemetry);
+        return advise_on_fabric(spec, &patched, &exec);
     };
     let generate_span = telemetry.span("generate_cands");
     let (candidates, truncated) = generate_candidates(spec, &patched)?;
@@ -857,7 +826,12 @@ pub fn run_readvise_observed(
     }
     let router = spec.routing.build();
     let score_span = telemetry.span("score_cands");
-    let routes = RouteCache::build(&patched, router.as_ref(), &candidate_sets(&candidates))?;
+    let routes = RouteCache::build(
+        &patched,
+        router.as_ref(),
+        &candidate_sets(&candidates),
+        score_span.telemetry(),
+    )?;
     // The base's simulated scores, by candidate identity. Duplicate
     // identities (the same generator listed twice) collapse; their scores
     // are identical by construction.
@@ -894,7 +868,7 @@ pub fn run_readvise_observed(
     let fresh = score_with_routes(
         &patched,
         &routes,
-        &affected_sets,
+        dedup_candidates(&affected_sets),
         spec.gigabytes,
         score_span.telemetry(),
     )?;
@@ -915,32 +889,24 @@ fn candidate_sets(candidates: &LabeledAllocations) -> Vec<Vec<usize>> {
 /// Run a batch of advice specs in parallel (rayon), preserving input order.
 /// Each spec succeeds or fails independently.
 pub fn run_allocation_sweep(specs: &[AdviceSpec]) -> Vec<Result<AdviceResult, ScenarioError>> {
-    run_allocation_sweep_with(specs, SolverMode::default())
+    run_allocation_sweep_with(specs, Exec::default())
 }
 
-/// [`run_allocation_sweep`] with an explicit max–min solver mode (see
-/// [`run_advice_with`]).
+/// [`run_allocation_sweep`] under explicit execution choices: every spec
+/// runs as [`run_advice_with`] runs it, and `exec.telemetry` receives one
+/// [`TelemetryEvent::SweepSpecDone`] per spec.
 pub fn run_allocation_sweep_with(
     specs: &[AdviceSpec],
-    mode: SolverMode,
+    exec: impl Into<Exec>,
 ) -> Vec<Result<AdviceResult, ScenarioError>> {
-    run_allocation_sweep_observed(specs, mode, &Telemetry::disabled())
-}
-
-/// [`run_allocation_sweep_with`] with a telemetry sink: one
-/// [`TelemetryEvent::SweepSpecDone`] per spec, plus the per-candidate solver
-/// events [`run_advice_observed`] emits.
-pub fn run_allocation_sweep_observed(
-    specs: &[AdviceSpec],
-    mode: SolverMode,
-    telemetry: &Telemetry,
-) -> Vec<Result<AdviceResult, ScenarioError>> {
+    let exec = exec.into();
+    let telemetry = &exec.telemetry;
     (0..specs.len())
         .into_par_iter()
         .map(|idx| {
             let started = std::time::Instant::now();
             let span = telemetry.span("spec");
-            let result = run_advice_observed(&specs[idx], mode, span.telemetry());
+            let result = run_advice_with(&specs[idx], exec.with_telemetry(span.telemetry()));
             drop(span);
             telemetry.emit(TelemetryEvent::SweepSpecDone {
                 spec_idx: idx as u64,
@@ -1108,8 +1074,15 @@ mod tests {
             },
         ];
         for spec in &specs {
-            let batch = run_advice_with(spec, SolverMode::Batch).unwrap();
-            let incremental = run_advice_with(spec, SolverMode::Incremental).unwrap();
+            let batch = run_advice(spec).unwrap();
+            let incremental = run_advice_with(
+                spec,
+                Exec {
+                    solver: SolverMode::Incremental,
+                    ..Exec::default()
+                },
+            )
+            .unwrap();
             assert_eq!(batch, incremental, "{}", spec.label());
             for (a, b) in batch.candidates.iter().zip(&incremental.candidates) {
                 assert_eq!(
@@ -1142,14 +1115,16 @@ mod tests {
             &Telemetry::disabled(),
         )
         .unwrap();
-        for mode in [SolverMode::Batch, SolverMode::Incremental] {
+        for solver in [SolverMode::Batch, SolverMode::Incremental] {
             let reset = score_candidates_reset(
                 &fabric,
                 router.as_ref(),
                 &sets,
                 spec.gigabytes,
-                mode,
-                &Telemetry::disabled(),
+                Exec {
+                    solver,
+                    ..Exec::default()
+                },
             )
             .unwrap();
             assert_eq!(scores.len(), reset.len());

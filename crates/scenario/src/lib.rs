@@ -57,8 +57,7 @@ pub mod run;
 pub mod spec;
 
 pub use advice::{
-    run_advice, run_advice_observed, run_advice_with, run_allocation_sweep,
-    run_allocation_sweep_observed, run_allocation_sweep_with, run_readvise, run_readvise_observed,
+    run_advice, run_advice_with, run_allocation_sweep, run_allocation_sweep_with, run_readvise,
     run_readvise_with, score_candidates, score_candidates_reset, AdviceResult, AdviceSpec,
     AllocationSpec, CandidateResult, CandidateScore, MAX_ADVICE_CANDIDATES, MAX_RANDOM_SAMPLES,
 };
@@ -66,15 +65,15 @@ pub use registry::{
     advice_registry, named, named_advice, registry, standard_allocation_sweep, standard_sweep,
 };
 pub use run::{
-    run_scenario, run_scenario_observed, run_sweep, run_sweep_observed, ScenarioDetail,
-    ScenarioError, ScenarioResult,
+    run_scenario, run_scenario_with, run_sweep, run_sweep_with, ScenarioDetail, ScenarioError,
+    ScenarioResult,
 };
 
-// Re-exported so sweep drivers can construct a sink without a direct
-// `netpart-telemetry` dependency.
-pub use netpart_engine::{FabricPatch, LinkPatch, NodePatch, Telemetry, TelemetryEvent};
+// Re-exported so sweep drivers can choose how to run and construct a sink
+// without a direct `netpart-engine` or `netpart-telemetry` dependency.
+pub use netpart_engine::{Exec, FabricPatch, LinkPatch, NodePatch, Telemetry, TelemetryEvent};
 pub use spec::{
-    build_fabric, check_penalty_flows, estimated_size, AllocatorSpec, FabricError, PolicySpec,
-    RoutingSpec, ScenarioSpec, TopologySpec, TrafficSpec, MAX_FABRIC_CHANNELS, MAX_FABRIC_NODES,
-    MAX_FLOWS, MAX_JOBS,
+    build_fabric, check_max_nodes, estimated_size, machine_by_name, AllocatorSpec, FabricError,
+    PolicySpec, RoutingSpec, ScenarioSpec, TopologySpec, TrafficSpec, MAX_FABRIC_CHANNELS,
+    MAX_FABRIC_NODES, MAX_FLOWS, MAX_JOBS,
 };

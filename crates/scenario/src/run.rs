@@ -2,16 +2,14 @@
 //! rayon-parallel sweep runner.
 
 use crate::spec::{
-    build_fabric, check_penalty_flows, AllocatorSpec, FabricError, PolicySpec, RoutingSpec,
+    build_fabric, check_max_nodes, machine_by_name, FabricError, PolicySpec, RoutingSpec,
     ScenarioSpec, TrafficSpec, MAX_FLOWS, MAX_JOBS,
 };
 use netpart_engine::{
-    pairing_flows, route_flows_csr, simulate_cluster_observed, Allocator, CompactAllocator,
-    EngineError, Fabric, Flow, FluidSim, Router, ScatterAllocator, SolverMode, Telemetry,
-    TelemetryEvent,
+    pairing_flows, route_flows_csr, simulate_cluster_with, EngineError, Exec, Fabric, Flow,
+    FluidSim, Router, TelemetryEvent,
 };
-use netpart_machines::{known, BlueGeneQ};
-use netpart_sched::{generate_trace, SchedPolicy, TraceConfig};
+use netpart_sched::{generate_trace, simulate_events_with, TraceConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -177,7 +175,7 @@ fn run_flow_pattern(
     router: &dyn Router,
     flows: Vec<Flow>,
     scale: f64,
-    telemetry: &Telemetry,
+    exec: &Exec,
 ) -> Result<ScenarioResult, ScenarioError> {
     if flows.len() > MAX_FLOWS {
         return Err(invalid(format!(
@@ -191,18 +189,18 @@ fn run_flow_pattern(
     {
         return Err(invalid("flow volumes must be finite and non-negative"));
     }
-    let route_span = telemetry.span("route");
+    let route_span = exec.telemetry.span("route");
     let mut offsets = Vec::with_capacity(flows.len() + 1);
     let mut data = Vec::new();
     route_flows_csr(fabric, router, &flows, &mut offsets, &mut data)?;
     drop(route_span);
     let sizes: Vec<f64> = flows.iter().map(|f| f.gigabytes).collect();
-    // Build through `empty` + `reset_csr` rather than `FluidSim::new` so the
-    // telemetry handle is attached before the CSR build and the `csr_build`
-    // span fires; the two paths are bit-identical (pinned by the engine's
-    // `reused_simulation_matches_fresh_construction_bit_for_bit`).
-    let mut fluid = FluidSim::empty();
-    fluid.set_telemetry(telemetry.clone());
+    // Build through `empty_with_mode` + `reset_csr` rather than
+    // `FluidSim::new` so the telemetry handle is attached before the CSR
+    // build and the `csr_build` span fires; the two paths are bit-identical
+    // (pinned by `reused_simulation_matches_fresh_construction_bit_for_bit`).
+    let mut fluid = FluidSim::empty_with_mode(exec.solver);
+    fluid.set_telemetry(exec.telemetry.clone());
     fluid.reset_csr(&offsets, &data, fabric.capacities(), &sizes);
     fluid.makespan_bound()?;
     fluid.run_to_completion();
@@ -241,29 +239,21 @@ fn mean_of(completions: impl ExactSizeIterator<Item = f64>) -> f64 {
     }
 }
 
-fn machine_by_name(name: &str) -> Option<BlueGeneQ> {
-    match name {
-        "mira" => Some(known::mira()),
-        "juqueen" => Some(known::juqueen()),
-        "juqueen_48" => Some(known::juqueen_48()),
-        "juqueen_54" => Some(known::juqueen_54()),
-        "sequoia" => Some(known::sequoia()),
-        _ => None,
-    }
-}
-
 /// Run one scenario to completion.
 pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioResult, ScenarioError> {
-    run_scenario_observed(spec, &Telemetry::disabled())
+    run_scenario_with(spec, Exec::default())
 }
 
-/// [`run_scenario`] with a telemetry sink: the scenario's fluid simulation
-/// emits per-round (and, for job traces, engine-progress) events through
-/// `telemetry`. Observability never changes the result.
-pub fn run_scenario_observed(
+/// [`run_scenario`] under explicit execution choices: every fluid
+/// simulation the scenario builds runs `exec.solver`, every event loop runs
+/// on `exec.queue`, and both emit their spans and events (per-round,
+/// per-repair, engine-progress) through `exec.telemetry`. No choice changes
+/// the result.
+pub fn run_scenario_with(
     spec: &ScenarioSpec,
-    telemetry: &Telemetry,
+    exec: impl Into<Exec>,
 ) -> Result<ScenarioResult, ScenarioError> {
+    let exec = exec.into();
     // Scheduler traces are machine-defined: no fabric to build.
     if let TrafficSpec::SchedulerTrace {
         machine,
@@ -271,7 +261,7 @@ pub fn run_scenario_observed(
         policy,
     } = &spec.traffic
     {
-        return run_scheduler_trace(spec, machine, *jobs, *policy);
+        return run_scheduler_trace(spec, machine, *jobs, *policy, exec);
     }
 
     let fabric = build_fabric(&spec.topology)?;
@@ -297,15 +287,15 @@ pub fn run_scenario_observed(
             }
             let flows = pairing_flows(&fabric, *round_gigabytes);
             let measured = (rounds - warmup_rounds) as f64;
-            run_flow_pattern(spec, &fabric, router.as_ref(), flows, measured, telemetry)
+            run_flow_pattern(spec, &fabric, router.as_ref(), flows, measured, &exec)
         }
         TrafficSpec::AllToAll { gigabytes } => {
             let flows = all_to_all_flows(&fabric, *gigabytes)?;
-            run_flow_pattern(spec, &fabric, router.as_ref(), flows, 1.0, telemetry)
+            run_flow_pattern(spec, &fabric, router.as_ref(), flows, 1.0, &exec)
         }
         TrafficSpec::RandomPermutation { gigabytes } => {
             let flows = permutation_flows(&fabric, *gigabytes, spec.seed);
-            run_flow_pattern(spec, &fabric, router.as_ref(), flows, 1.0, telemetry)
+            run_flow_pattern(spec, &fabric, router.as_ref(), flows, 1.0, &exec)
         }
         TrafficSpec::JobTrace {
             jobs,
@@ -324,29 +314,10 @@ pub fn run_scenario_observed(
             {
                 return Err(invalid("mean_gap and gigabytes must be positive"));
             }
-            if *max_nodes < 2 || *max_nodes > fabric.num_nodes() {
-                return Err(invalid(format!(
-                    "max_nodes must be in 2..={} for this fabric",
-                    fabric.num_nodes()
-                )));
-            }
-            check_penalty_flows(fabric.num_nodes(), *max_nodes).map_err(invalid)?;
-            let alloc: Box<dyn Allocator> = match allocator {
-                AllocatorSpec::Compact => Box::new(CompactAllocator),
-                AllocatorSpec::Scatter(stride) => Box::new(ScatterAllocator {
-                    stride: (*stride).max(1),
-                }),
-            };
+            check_max_nodes(fabric.num_nodes(), *max_nodes).map_err(invalid)?;
             let stream =
                 netpart_engine::synthetic_job_stream(*jobs, *max_nodes, *mean_gap, *gigabytes);
-            let metrics = simulate_cluster_observed(
-                &fabric,
-                router,
-                alloc,
-                &stream,
-                SolverMode::default(),
-                telemetry.clone(),
-            )?;
+            let metrics = simulate_cluster_with(&fabric, router, allocator.build(), &stream, exec)?;
             let mean_completion = mean_of(metrics.outcomes.iter().map(|o| o.completion));
             Ok(ScenarioResult {
                 label: spec.label(),
@@ -375,6 +346,7 @@ fn run_scheduler_trace(
     machine: &str,
     jobs: usize,
     policy: PolicySpec,
+    exec: Exec,
 ) -> Result<ScenarioResult, ScenarioError> {
     let Some(bgq) = machine_by_name(machine) else {
         return Err(ScenarioError::UnknownMachine(machine.to_string()));
@@ -382,18 +354,9 @@ fn run_scheduler_trace(
     if jobs == 0 || jobs > MAX_JOBS {
         return Err(invalid(format!("jobs must be in 1..={MAX_JOBS}")));
     }
-    let sched_policy = match policy {
-        PolicySpec::Worst => SchedPolicy::WorstAvailableBisection,
-        PolicySpec::Best => SchedPolicy::BestAvailableBisection,
-        PolicySpec::HintAware(tolerance) => {
-            if !(0.0..=1.0).contains(&tolerance) {
-                return Err(invalid("hint_aware tolerance must be in [0, 1]"));
-            }
-            SchedPolicy::HintAware { tolerance }
-        }
-    };
+    let sched_policy = policy.build().map_err(invalid)?;
     let trace = generate_trace(&TraceConfig::default_for(&bgq, jobs, spec.seed));
-    let metrics = netpart_sched::simulate_events(&bgq, sched_policy, &trace);
+    let metrics = simulate_events_with(&bgq, sched_policy, &trace, exec);
     let mean_completion = mean_of(metrics.outcomes.iter().map(|o| o.completion));
     Ok(ScenarioResult {
         label: spec.label(),
@@ -419,17 +382,20 @@ fn run_scheduler_trace(
 /// Each scenario succeeds or fails independently — a bad spec never aborts
 /// the sweep.
 pub fn run_sweep(specs: &[ScenarioSpec]) -> Vec<Result<ScenarioResult, ScenarioError>> {
-    run_sweep_observed(specs, &Telemetry::disabled())
+    run_sweep_with(specs, Exec::default())
 }
 
-/// [`run_sweep`] with a telemetry sink: one
+/// [`run_sweep`] under explicit execution choices: every scenario runs
+/// as [`run_scenario_with`] runs it, and `exec.telemetry` receives one
 /// [`TelemetryEvent::SweepSpecDone`] per spec (index, success, wall-clock
-/// microseconds), plus whatever the scenarios themselves emit. The handle is
-/// shared across rayon workers — the ring write path is wait-free.
-pub fn run_sweep_observed(
+/// microseconds). The handle is shared across rayon workers — the ring
+/// write path is wait-free.
+pub fn run_sweep_with(
     specs: &[ScenarioSpec],
-    telemetry: &Telemetry,
+    exec: impl Into<Exec>,
 ) -> Vec<Result<ScenarioResult, ScenarioError>> {
+    let exec = exec.into();
+    let telemetry = &exec.telemetry;
     (0..specs.len())
         .into_par_iter()
         .map(|idx| {
@@ -437,7 +403,7 @@ pub fn run_sweep_observed(
             // One causal span per spec; the scenario's own phase spans
             // (route, csr_build, fluid_solve, …) nest under it.
             let span = telemetry.span("spec");
-            let result = run_scenario_observed(&specs[idx], span.telemetry());
+            let result = run_scenario_with(&specs[idx], exec.with_telemetry(span.telemetry()));
             drop(span);
             telemetry.emit(TelemetryEvent::SweepSpecDone {
                 spec_idx: idx as u64,
@@ -452,7 +418,8 @@ pub fn run_sweep_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::TopologySpec;
+    use crate::spec::{AllocatorSpec, TopologySpec};
+    use netpart_engine::Telemetry;
 
     fn pairing_spec(topology: TopologySpec, routing: RoutingSpec) -> ScenarioSpec {
         ScenarioSpec {
@@ -591,7 +558,13 @@ mod tests {
             TopologySpec::Torus(vec![4, 4]),
             RoutingSpec::DimensionOrdered,
         );
-        let results = run_sweep_observed(&[bad, good], &telemetry);
+        let results = run_sweep_with(
+            &[bad, good],
+            Exec {
+                telemetry,
+                ..Exec::default()
+            },
+        );
         assert!(results[0].is_err() && results[1].is_ok());
 
         let reader = RingReader::open(&ring).unwrap();

@@ -9,9 +9,17 @@
 //! Specs are plain data: `Clone + PartialEq` and cheap to build in
 //! bulk. [`build_fabric`] is the single place a spec becomes an engine
 //! [`Fabric`], including the service's resource budgets (moved here from
-//! `netpart-service` so every front end enforces the same limits).
+//! `netpart-service` so every front end enforces the same limits), and
+//! [`RoutingSpec::build`], [`AllocatorSpec::build`], [`PolicySpec::build`]
+//! and [`machine_by_name`] are the single places the other spec parts
+//! become engine and scheduler objects.
 
-use netpart_engine::{DimensionOrdered, Ecmp, Fabric, Router, ShortestPath, Valiant};
+use netpart_engine::{
+    Allocator, CompactAllocator, DimensionOrdered, Ecmp, Fabric, Router, ScatterAllocator,
+    ShortestPath, Valiant,
+};
+use netpart_machines::{known, BlueGeneQ};
+use netpart_sched::SchedPolicy;
 use netpart_topology::{
     Circulant, Dragonfly, FatTree, GlobalArrangement, HyperX, Hypercube, SlimFly, Torus,
 };
@@ -30,12 +38,16 @@ pub const MAX_FLOWS: usize = 1 << 16;
 /// Upper bound on jobs per scenario.
 pub const MAX_JOBS: usize = 4096;
 
-/// Check a job stream's cluster penalties against [`MAX_FLOWS`] before any
-/// flow is allocated. Jobs running at the same time hold disjoint nodes, so
-/// every penalty's flow set (the all-to-all exchanges of the starting job
-/// and the running ones) has at most `nodes · (max_nodes − 1)` flows. The
-/// error is the rejection message.
-pub fn check_penalty_flows(nodes: usize, max_nodes: usize) -> Result<(), String> {
+/// Check a job stream's largest job on a fabric of `nodes` nodes before any
+/// flow is allocated: `max_nodes` must be in `2..=nodes`, and the cluster
+/// penalties must fit [`MAX_FLOWS`]. Jobs running at the same time hold
+/// disjoint nodes, so every penalty's flow set (the all-to-all exchanges of
+/// the starting job and the running ones) has at most
+/// `nodes · (max_nodes − 1)` flows. The error is the rejection message.
+pub fn check_max_nodes(nodes: usize, max_nodes: usize) -> Result<(), String> {
+    if max_nodes < 2 || max_nodes > nodes {
+        return Err(format!("max_nodes must be in 2..={nodes} for this fabric"));
+    }
     let bound = nodes.saturating_mul(max_nodes.saturating_sub(1));
     if bound > MAX_FLOWS {
         return Err(format!(
@@ -312,6 +324,20 @@ impl RoutingSpec {
     }
 }
 
+/// The Blue Gene/Q machine a scheduler trace or policy request names
+/// (`mira`, `juqueen`, `juqueen_48`, `juqueen_54` or `sequoia`); `None` for
+/// any other name.
+pub fn machine_by_name(name: &str) -> Option<BlueGeneQ> {
+    match name {
+        "mira" => Some(known::mira()),
+        "juqueen" => Some(known::juqueen()),
+        "juqueen_48" => Some(known::juqueen_48()),
+        "juqueen_54" => Some(known::juqueen_54()),
+        "sequoia" => Some(known::sequoia()),
+        _ => None,
+    }
+}
+
 /// Allocator choice for job-trace traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocatorSpec {
@@ -322,6 +348,16 @@ pub enum AllocatorSpec {
 }
 
 impl AllocatorSpec {
+    /// Instantiate the engine allocator (a scatter stride of 0 acts as 1).
+    pub fn build(&self) -> Box<dyn Allocator> {
+        match *self {
+            AllocatorSpec::Compact => Box::new(CompactAllocator),
+            AllocatorSpec::Scatter(stride) => Box::new(ScatterAllocator {
+                stride: stride.max(1),
+            }),
+        }
+    }
+
     /// Label for reports.
     pub fn label(&self) -> String {
         match self {
@@ -345,6 +381,21 @@ pub enum PolicySpec {
 }
 
 impl PolicySpec {
+    /// Instantiate the scheduler policy.
+    ///
+    /// # Errors
+    /// A hint-aware tolerance outside `[0, 1]`, as a message.
+    pub fn build(&self) -> Result<SchedPolicy, String> {
+        match *self {
+            PolicySpec::Worst => Ok(SchedPolicy::WorstAvailableBisection),
+            PolicySpec::Best => Ok(SchedPolicy::BestAvailableBisection),
+            PolicySpec::HintAware(tolerance) if (0.0..=1.0).contains(&tolerance) => {
+                Ok(SchedPolicy::HintAware { tolerance })
+            }
+            PolicySpec::HintAware(_) => Err("hint_aware tolerance must be in [0, 1]".to_string()),
+        }
+    }
+
     /// Label for reports.
     pub fn label(&self) -> String {
         match self {

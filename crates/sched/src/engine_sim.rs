@@ -19,7 +19,7 @@ use crate::placement::Placement;
 use crate::policy::SchedPolicy;
 use crate::simulator::{JobOutcome, RunMetrics};
 use crate::trace::Job;
-use netpart_engine::{Component, Context, Event, Simulation};
+use netpart_engine::{Component, Context, Event, Exec, Simulation};
 use netpart_machines::{BlueGeneQ, PartitionGeometry};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -143,6 +143,19 @@ impl Component<SchedEvent> for EngineScheduler {
 /// Jobs whose size is infeasible on the machine are skipped (they do not
 /// appear in the outcomes); everything else runs to completion.
 pub fn simulate_events(machine: &BlueGeneQ, policy: SchedPolicy, trace: &[Job]) -> RunMetrics {
+    simulate_events_with(machine, policy, trace, Exec::default())
+}
+
+/// [`simulate_events`] with the event loop on `exec.queue` (every kind
+/// gives identical metrics), emitting progress heartbeats through
+/// `exec.telemetry`; the replay runs no fluid simulation to use `exec.solver`.
+pub fn simulate_events_with(
+    machine: &BlueGeneQ,
+    policy: SchedPolicy,
+    trace: &[Job],
+    exec: impl Into<Exec>,
+) -> RunMetrics {
+    let exec = exec.into();
     let arrivals: VecDeque<Job> = trace
         .iter()
         .filter(|j| !machine.geometries(j.midplanes).is_empty())
@@ -150,7 +163,8 @@ pub fn simulate_events(machine: &BlueGeneQ, policy: SchedPolicy, trace: &[Job]) 
         .collect();
     let outcomes = Rc::new(RefCell::new(Vec::new()));
     let busy = Rc::new(RefCell::new(0.0f64));
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::with_queue_kind(exec.queue);
+    sim.set_telemetry(exec.telemetry);
     let scheduler = EngineScheduler {
         grid: OccupancyGrid::new(machine),
         machine: machine.clone(),

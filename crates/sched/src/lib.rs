@@ -39,7 +39,7 @@ pub mod policy;
 pub mod simulator;
 pub mod trace;
 
-pub use engine_sim::simulate_events;
+pub use engine_sim::{simulate_events, simulate_events_with};
 pub use placement::{OccupancyGrid, Placement};
 pub use policy::SchedPolicy;
 pub use simulator::{compare_policies, JobOutcome, RunMetrics};

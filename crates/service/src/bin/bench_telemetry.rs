@@ -15,7 +15,7 @@
 //! more than PCT percent (default 5) slower than the best-of-N plain sweep —
 //! the CI regression gate for the telemetry hot path.
 
-use netpart_scenario::{run_sweep, run_sweep_observed, standard_sweep, Telemetry};
+use netpart_scenario::{run_sweep, run_sweep_with, standard_sweep, Exec, Telemetry};
 use serde::json::Value;
 use std::time::Instant;
 
@@ -84,10 +84,14 @@ fn main() {
         );
         std::process::exit(1);
     });
+    let observed = Exec {
+        telemetry,
+        ..Exec::default()
+    };
 
     // Warm-up: populate allocator pools, page in the ring, spin up rayon.
     assert!(run_sweep(&specs).iter().all(Result::is_ok));
-    assert!(run_sweep_observed(&specs, &telemetry)
+    assert!(run_sweep_with(&specs, observed.clone())
         .iter()
         .all(Result::is_ok));
 
@@ -102,12 +106,12 @@ fn main() {
         assert!(results.iter().all(Result::is_ok));
 
         let started = Instant::now();
-        let results = run_sweep_observed(&specs, &telemetry);
+        let results = run_sweep_with(&specs, observed.clone());
         best_on = best_on.min(started.elapsed().as_secs_f64());
         assert!(results.iter().all(Result::is_ok));
     }
     let overhead_pct = (best_on - best_off) / best_off * 100.0;
-    let events = telemetry.ring_cursor().unwrap_or(0);
+    let events = observed.telemetry.ring_cursor().unwrap_or(0);
     let _ = std::fs::remove_file(&ring_path);
 
     let report = Value::obj([

@@ -11,6 +11,12 @@
 //! Prints one `listening on <addr>` line once the socket is bound, then
 //! serves until a client sends `{"type":"shutdown"}`.
 //!
+//! `--solver` and `--queue` choose the max–min solver and the event-queue
+//! core of the simulations each request runs (cluster penalties, sweeps,
+//! policy replays; advice scores on batch in release builds). They travel
+//! with the request in the server's execution context rather than as
+//! process-wide defaults, and every choice answers byte-identically.
+//!
 //! With `--telemetry-ring`, every request and solver milestone — plus the
 //! causal span tree of every request — is appended to a file-backed ring
 //! that `telemetry_tail` / `telemetry_trace` (from `netpart-telemetry`) can

@@ -12,14 +12,14 @@ use crate::protocol::{
 };
 use netpart_contention::{advise_kernel, ContentionModel, Kernel, NodeModel};
 use netpart_engine::{
-    simulate_cluster_observed, simulate_flows, Allocator, CompactAllocator, DimensionOrdered,
-    EngineError, Fabric, Router, ScatterAllocator, ShortestPath, SolverMode, Telemetry,
+    simulate_cluster_with, simulate_flows, DimensionOrdered, EngineError, Exec, Fabric, Router,
+    ShortestPath,
 };
-use netpart_machines::{known, BlueGeneQ};
 use netpart_scenario::{
-    check_penalty_flows, run_allocation_sweep_observed, run_sweep_observed, MAX_FLOWS, MAX_JOBS,
+    check_max_nodes, machine_by_name, run_allocation_sweep_with, run_sweep_with, MAX_FLOWS,
+    MAX_JOBS,
 };
-use netpart_sched::{generate_trace, SchedPolicy, TraceConfig};
+use netpart_sched::{generate_trace, simulate_events_with, TraceConfig};
 use netpart_topology::GlobalArrangement;
 
 /// Upper bound on scenarios per `sweep` request (each scenario already has
@@ -32,17 +32,6 @@ const MAX_ALLOCATION_SWEEP: usize = 32;
 
 fn unsupported(message: impl Into<String>) -> Response {
     Response::error(ErrorCode::Unsupported, message)
-}
-
-fn machine_by_name(name: &str) -> Option<BlueGeneQ> {
-    match name {
-        "mira" => Some(known::mira()),
-        "juqueen" => Some(known::juqueen()),
-        "juqueen_48" => Some(known::juqueen_48()),
-        "juqueen_54" => Some(known::juqueen_54()),
-        "sequoia" => Some(known::sequoia()),
-        _ => None,
-    }
 }
 
 fn kernel_from_spec(spec: &Option<KernelSpec>) -> Kernel {
@@ -206,7 +195,6 @@ fn handle_simulate_flows(topology: &TopologySpec, flows: &[FlowSpec]) -> Respons
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn handle_cluster_sim(
     topology: &TopologySpec,
     jobs: usize,
@@ -214,8 +202,7 @@ fn handle_cluster_sim(
     mean_gap: f64,
     gigabytes: f64,
     allocator: AllocatorSpec,
-    mode: SolverMode,
-    telemetry: &Telemetry,
+    exec: Exec,
 ) -> Response {
     if jobs == 0 || jobs > MAX_JOBS {
         return unsupported(format!("jobs must be in 1..={MAX_JOBS}"));
@@ -227,23 +214,11 @@ fn handle_cluster_sim(
         Ok(pair) => pair,
         Err(resp) => return *resp,
     };
-    if max_nodes < 2 || max_nodes > fabric.num_nodes() {
-        return unsupported(format!(
-            "max_nodes must be in 2..={} for this fabric",
-            fabric.num_nodes()
-        ));
-    }
-    if let Err(message) = check_penalty_flows(fabric.num_nodes(), max_nodes) {
+    if let Err(message) = check_max_nodes(fabric.num_nodes(), max_nodes) {
         return unsupported(message);
     }
-    let alloc: Box<dyn Allocator> = match allocator {
-        AllocatorSpec::Compact => Box::new(CompactAllocator),
-        AllocatorSpec::Scatter(stride) => Box::new(ScatterAllocator {
-            stride: stride.max(1),
-        }),
-    };
     let stream = netpart_engine::synthetic_job_stream(jobs, max_nodes, mean_gap, gigabytes);
-    match simulate_cluster_observed(&fabric, router, alloc, &stream, mode, telemetry.clone()) {
+    match simulate_cluster_with(&fabric, router, allocator.build(), &stream, exec) {
         Ok(metrics) => Response::ClusterSummary {
             fabric: metrics.fabric.clone(),
             allocator: metrics.allocator.clone(),
@@ -261,25 +236,25 @@ fn handle_cluster_sim(
     }
 }
 
-fn handle_policy_sim(machine: &str, jobs: usize, seed: u64, policy: PolicySpec) -> Response {
+fn handle_policy_sim(
+    machine: &str,
+    jobs: usize,
+    seed: u64,
+    policy: PolicySpec,
+    exec: Exec,
+) -> Response {
     let Some(bgq) = machine_by_name(machine) else {
         return unsupported(format!("unknown machine '{machine}'"));
     };
     if jobs == 0 || jobs > MAX_JOBS {
         return unsupported(format!("jobs must be in 1..={MAX_JOBS}"));
     }
-    let sched_policy = match policy {
-        PolicySpec::Worst => SchedPolicy::WorstAvailableBisection,
-        PolicySpec::Best => SchedPolicy::BestAvailableBisection,
-        PolicySpec::HintAware(tolerance) => {
-            if !(0.0..=1.0).contains(&tolerance) {
-                return unsupported("hint_aware tolerance must be in [0, 1]");
-            }
-            SchedPolicy::HintAware { tolerance }
-        }
+    let sched_policy = match policy.build() {
+        Ok(policy) => policy,
+        Err(message) => return unsupported(message),
     };
     let trace = generate_trace(&TraceConfig::default_for(&bgq, jobs, seed));
-    let metrics = netpart_sched::engine_sim::simulate_events(&bgq, sched_policy, &trace);
+    let metrics = simulate_events_with(&bgq, sched_policy, &trace, exec);
     Response::PolicySummary {
         policy: sched_policy.label(),
         jobs: metrics.outcomes.len(),
@@ -292,14 +267,14 @@ fn handle_policy_sim(machine: &str, jobs: usize, seed: u64, policy: PolicySpec) 
 
 /// Fan a batch of scenarios out through the parallel sweep runner. Each
 /// scenario succeeds or fails on its own; a bad spec never fails the batch.
-fn handle_sweep(scenarios: &[ScenarioSpec], telemetry: &Telemetry) -> Response {
+fn handle_sweep(scenarios: &[ScenarioSpec], exec: Exec) -> Response {
     if scenarios.is_empty() {
         return unsupported("sweep needs at least one scenario");
     }
     if scenarios.len() > MAX_SWEEP {
         return unsupported(format!("more than {MAX_SWEEP} scenarios in one sweep"));
     }
-    let results = run_sweep_observed(scenarios, telemetry)
+    let results = run_sweep_with(scenarios, exec)
         .into_iter()
         .zip(scenarios)
         .map(|(result, spec)| match result {
@@ -324,8 +299,8 @@ fn handle_sweep(scenarios: &[ScenarioSpec], telemetry: &Telemetry) -> Response {
 
 /// Fabric-generic allocation advice: one advice spec, scored and ranked by
 /// `netpart-scenario` (bounds + flow simulation on any topology family).
-fn handle_advise_fabric(spec: &AdviceSpec, mode: SolverMode, telemetry: &Telemetry) -> Response {
-    match netpart_scenario::run_advice_observed(spec, mode, telemetry) {
+fn handle_advise_fabric(spec: &AdviceSpec, exec: Exec) -> Response {
+    match netpart_scenario::run_advice_with(spec, exec) {
         Ok(result) => Response::FabricAdvice(result),
         Err(e) => unsupported(e.to_string()),
     }
@@ -341,10 +316,9 @@ pub fn handle_readvise(
     spec: &AdviceSpec,
     patch: &FabricPatch,
     base: Option<&AdviceResult>,
-    mode: SolverMode,
-    telemetry: &Telemetry,
+    exec: Exec,
 ) -> Response {
-    match netpart_scenario::run_readvise_observed(spec, patch, base, mode, telemetry) {
+    match netpart_scenario::run_readvise_with(spec, patch, base, exec) {
         Ok(result) => Response::FabricAdvice(result),
         Err(e) => unsupported(e.to_string()),
     }
@@ -352,11 +326,7 @@ pub fn handle_readvise(
 
 /// Fan a batch of advice specs out through the parallel advice runner. Each
 /// spec succeeds or fails on its own; a bad spec never fails the batch.
-fn handle_allocation_sweep(
-    specs: &[AdviceSpec],
-    mode: SolverMode,
-    telemetry: &Telemetry,
-) -> Response {
+fn handle_allocation_sweep(specs: &[AdviceSpec], exec: Exec) -> Response {
     if specs.is_empty() {
         return unsupported("allocation_sweep needs at least one spec");
     }
@@ -365,7 +335,7 @@ fn handle_allocation_sweep(
             "more than {MAX_ALLOCATION_SWEEP} specs in one allocation sweep"
         ));
     }
-    let results = run_allocation_sweep_observed(specs, mode, telemetry)
+    let results = run_allocation_sweep_with(specs, exec)
         .into_iter()
         .zip(specs)
         .map(|(result, spec)| match result {
@@ -393,23 +363,17 @@ fn handle_allocation_sweep(
 /// here; routing them to this function is a server bug surfaced as an
 /// internal error rather than a panic.
 pub fn handle(request: &Request) -> Response {
-    handle_with(request, SolverMode::default())
+    handle_with(request, Exec::default())
 }
 
-/// [`handle`] with an explicit max–min solver mode for the simulation-backed
-/// handlers. The mode is a server-side execution knob, never part of the
-/// wire protocol: requests don't carry it, and responses are byte-identical
-/// across modes (pinned by the service integration tests), so cached
-/// responses are valid regardless of the mode they were computed under.
-pub fn handle_with(request: &Request, mode: SolverMode) -> Response {
-    handle_observed(request, mode, &Telemetry::disabled())
-}
-
-/// [`handle_with`] with a telemetry sink: the simulation-backed handlers
-/// emit solver-repair, solver-round and per-spec sweep-completion events
-/// through `telemetry`. Like the solver mode, telemetry is an execution
-/// knob only — responses are byte-identical with and without it.
-pub fn handle_observed(request: &Request, mode: SolverMode, telemetry: &Telemetry) -> Response {
+/// [`handle`] under explicit execution choices (solver mode, queue core,
+/// telemetry sink) for the simulation-backed handlers; `simulate_flows`
+/// runs on the defaults. The choices are server-side, never on the wire:
+/// responses are byte-identical under all of them (pinned by the service
+/// integration tests), so a cached response is valid whatever it was
+/// computed under.
+pub fn handle_with(request: &Request, exec: impl Into<Exec>) -> Response {
+    let exec = exec.into();
     match request {
         Request::Advise {
             machine,
@@ -426,20 +390,20 @@ pub fn handle_observed(request: &Request, mode: SolverMode, telemetry: &Telemetr
             gigabytes,
             allocator,
         } => handle_cluster_sim(
-            topology, *jobs, *max_nodes, *mean_gap, *gigabytes, *allocator, mode, telemetry,
+            topology, *jobs, *max_nodes, *mean_gap, *gigabytes, *allocator, exec,
         ),
         Request::PolicySim {
             machine,
             jobs,
             seed,
             policy,
-        } => handle_policy_sim(machine, *jobs, *seed, *policy),
-        Request::Sweep { scenarios } => handle_sweep(scenarios, telemetry),
-        Request::AdviseFabric { spec } => handle_advise_fabric(spec, mode, telemetry),
+        } => handle_policy_sim(machine, *jobs, *seed, *policy, exec),
+        Request::Sweep { scenarios } => handle_sweep(scenarios, exec),
+        Request::AdviseFabric { spec } => handle_advise_fabric(spec, exec),
         // Without server state there is no cached base to patch; the server's
         // dispatcher calls `handle_readvise` directly with its cache peek.
-        Request::Readvise { spec, patch } => handle_readvise(spec, patch, None, mode, telemetry),
-        Request::AllocationSweep { specs } => handle_allocation_sweep(specs, mode, telemetry),
+        Request::Readvise { spec, patch } => handle_readvise(spec, patch, None, exec),
+        Request::AllocationSweep { specs } => handle_allocation_sweep(specs, exec),
         Request::Health | Request::Stats | Request::Shutdown => Response::error(
             ErrorCode::Internal,
             "control-plane request routed to the compute dispatcher",

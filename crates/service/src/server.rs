@@ -17,7 +17,7 @@ use crate::cache::ResponseCache;
 use crate::handlers;
 use crate::metrics::Metrics;
 use crate::protocol::{AdviceResult, AdviceSpec, ErrorCode, Request, Response};
-use netpart_engine::{QueueKind, SolverMode};
+use netpart_engine::{Exec, QueueKind, SolverMode};
 use netpart_telemetry::trace::{snapshot, TraceForest};
 use netpart_telemetry::{KindLabel, RingReader, Telemetry, TelemetryEvent, DEFAULT_RING_CAPACITY};
 use std::io::{Read, Write};
@@ -45,11 +45,10 @@ pub struct ServerConfig {
     /// knob only: responses are byte-identical across modes (pinned by the
     /// integration tests), so it never enters cache keys or the protocol.
     pub solver: SolverMode,
-    /// Event-queue core for simulation-backed handlers, installed as the
-    /// process default at startup. Like the solver mode it is an execution
-    /// knob only: pop order is pinned identical across kinds (by the
-    /// `queue_parity` differential suite), so it never enters cache keys or
-    /// the protocol.
+    /// Event-queue core for simulation-backed handlers. Like the solver
+    /// mode it is an execution knob only: pop order is pinned identical
+    /// across kinds (by the `queue_parity` differential suite), so it never
+    /// enters cache keys or the protocol.
     pub queue: QueueKind,
     /// Path of the file-backed telemetry ring. `None` keeps in-process
     /// solver aggregates for `stats` but writes no ring file. Like the
@@ -144,10 +143,9 @@ pub struct ServiceState {
     pub metrics: Metrics,
     /// Worker count, reported by `health`.
     pub workers: usize,
-    /// Solver mode handed to every compute dispatch.
-    pub solver: SolverMode,
-    /// Telemetry sink shared by the request path and every handler.
-    pub telemetry: Telemetry,
+    /// Execution choices of every compute dispatch, from [`ServerConfig`];
+    /// its telemetry sink is shared by the request path and every handler.
+    pub exec: Exec,
     flight: Option<FlightRecorder>,
     stop: AtomicBool,
 }
@@ -230,7 +228,7 @@ fn respond(
     stream: &mut TcpStream,
 ) -> std::io::Result<()> {
     let started = Instant::now();
-    let root = state.telemetry.span("request");
+    let root = state.exec.telemetry.span("request");
     let telemetry = root.telemetry();
     let mut kind = "invalid";
     let mut cache_hit = false;
@@ -259,7 +257,7 @@ fn respond(
                         state.cache.hits(),
                         state.cache.misses(),
                         state.cache.len(),
-                        state.telemetry.counters(),
+                        state.exec.telemetry.counters(),
                     ))
                     .encode(),
                 ),
@@ -325,7 +323,7 @@ fn respond(
     state.metrics.record_latency_nanos(nanos);
     let micros = nanos / 1_000;
     let trace_id = root.trace_id();
-    state.telemetry.emit(TelemetryEvent::RequestDone {
+    state.exec.telemetry.emit(TelemetryEvent::RequestDone {
         kind: KindLabel::new(kind),
         micros,
         cache_hit,
@@ -339,17 +337,20 @@ fn respond(
     write_result
 }
 
-/// Run a handler, converting any panic into a typed internal error so a
-/// worker thread can never die on a request. `readvise` is dispatched here
-/// rather than through [`handlers::handle_observed`] because it needs server
-/// state: the cached `advise_fabric` answer it patches.
+/// Run a handler under the server's execution choices, reporting through
+/// `telemetry` (the `compute` span's handle), and convert any panic into a
+/// typed internal error so a worker thread can never die on a request.
+/// `readvise` is dispatched here rather than through
+/// [`handlers::handle_with`] because it needs server state: the cached
+/// `advise_fabric` answer it patches.
 fn compute(state: &ServiceState, request: &Request, telemetry: &Telemetry) -> String {
+    let exec = state.exec.with_telemetry(telemetry);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match request {
         Request::Readvise { spec, patch } => {
             let base = state.peek_advice_base(spec);
-            handlers::handle_readvise(spec, patch, base.as_ref(), state.solver, telemetry).encode()
+            handlers::handle_readvise(spec, patch, base.as_ref(), exec).encode()
         }
-        _ => handlers::handle_observed(request, state.solver, telemetry).encode(),
+        _ => handlers::handle_with(request, exec).encode(),
     }));
     result.unwrap_or_else(|panic| {
         let reason = panic
@@ -461,7 +462,6 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     )?;
     let local_addr = listener.local_addr()?;
     let workers = config.workers.max(1);
-    QueueKind::set_process_default(config.queue);
     let telemetry = match &config.telemetry_ring {
         Some(path) => Telemetry::to_ring(path, config.telemetry_ring_capacity)?,
         None => Telemetry::counters_only(),
@@ -496,8 +496,11 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         batcher: Batcher::new(),
         metrics: Metrics::new(),
         workers,
-        solver: config.solver,
-        telemetry,
+        exec: Exec {
+            solver: config.solver,
+            queue: config.queue,
+            telemetry,
+        },
         flight,
         stop: AtomicBool::new(false),
     });
@@ -573,8 +576,7 @@ mod tests {
             batcher: Batcher::new(),
             metrics: Metrics::new(),
             workers: 1,
-            solver: SolverMode::default(),
-            telemetry: Telemetry::disabled(),
+            exec: Exec::default(),
             flight: None,
             stop: AtomicBool::new(false),
         }

@@ -373,12 +373,16 @@ fn allocation_sweep_isolates_per_spec_failures_and_caches() {
 /// part of the wire contract or the cache key.
 #[test]
 fn solver_modes_serve_byte_identical_responses_from_cache_and_compute() {
-    use netpart_engine::SolverMode;
+    use netpart_engine::{QueueKind, SolverMode};
+    use netpart_service::protocol::{ScenarioSpec, TrafficSpec};
     let batch = boot(2);
+    // The other face of every execution choice: incremental repairs on the
+    // heap queue.
     let incremental = serve(ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         solver: SolverMode::Incremental,
+        queue: QueueKind::Heap,
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port");
@@ -400,11 +404,46 @@ fn solver_modes_serve_byte_identical_responses_from_cache_and_compute() {
             gigabytes: 0.25,
             allocator: AllocatorSpec::Compact,
         },
+        Request::PolicySim {
+            machine: "juqueen".into(),
+            jobs: 40,
+            seed: 5,
+            policy: PolicySpec::HintAware(0.9),
+        },
+        Request::Sweep {
+            scenarios: vec![
+                ScenarioSpec {
+                    topology: TopologySpec::Torus(vec![4, 4]),
+                    routing: RoutingSpec::ShortestPath,
+                    traffic: TrafficSpec::JobTrace {
+                        jobs: 6,
+                        max_nodes: 4,
+                        mean_gap: 50.0,
+                        gigabytes: 0.25,
+                        allocator: AllocatorSpec::Scatter(3),
+                    },
+                    seed: 2,
+                },
+                ScenarioSpec {
+                    topology: TopologySpec::Torus(vec![4, 4, 2]),
+                    routing: RoutingSpec::DimensionOrdered,
+                    traffic: TrafficSpec::paper_pairing(),
+                    seed: 2,
+                },
+            ],
+        },
     ];
     for request in &requests {
+        let repairs_before = incremental_client.stats().unwrap().solver_repairs;
         // First ask computes; the replay must come from the cache.
         let computed_b = batch_client.request(request).unwrap();
         let computed_i = incremental_client.request(request).unwrap();
+        if matches!(request, Request::Sweep { .. }) {
+            assert!(
+                incremental_client.stats().unwrap().solver_repairs > repairs_before,
+                "the sweep did not run on the incremental solver"
+            );
+        }
         assert_eq!(
             computed_b.encode(),
             computed_i.encode(),
@@ -430,6 +469,23 @@ fn solver_modes_serve_byte_identical_responses_from_cache_and_compute() {
     incremental_client.shutdown().unwrap();
     batch.join();
     incremental.join();
+}
+
+#[test]
+fn serving_on_the_heap_queue_leaves_other_simulations_alone() {
+    use netpart_engine::{QueueKind, Simulation};
+    let handle = serve(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue: QueueKind::Heap,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    // The server's queue choice travels with its requests; a simulation
+    // built anywhere else in the process keeps the default core.
+    assert_eq!(Simulation::<()>::new().queue_kind(), QueueKind::Calendar);
+    handle.shutdown();
+    handle.join();
 }
 
 #[test]

@@ -232,6 +232,7 @@ fn advise_fabric_request_reconstructs_to_a_covering_span_tree() {
         "respond",
         "generate_cands",
         "score_cands",
+        "route",
         // The sharded sweep: each shard's first candidate, then the rest,
         // each simulated by a reused FluidSim whose spans nest under them.
         "cand_full",

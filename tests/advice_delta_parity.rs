@@ -10,8 +10,9 @@
 //! * Shard-scored sweeps must be **bit-identical** to the reset-per-
 //!   candidate batch path, across random fabrics (torus / dragonfly /
 //!   fat-tree / expander), random candidate sets in either order, and
-//!   worker thread caps 1 / 2 / 8 (via the vendored `rayon::set_max_threads`
-//!   override) — and to the reset path under the incremental solver mode.
+//!   worker thread caps 1 / 2 / 8 (via the vendored
+//!   `rayon::with_max_threads`, scoped to the calling test) — and to the
+//!   reset path under the incremental solver mode.
 //! * Fabric-delta re-advice (`run_readvise`) patching a cached base sweep
 //!   must be bit-identical to a full recompute on the patched fabric, for
 //!   random link/node capacity patches, again at any thread cap.
@@ -21,8 +22,8 @@
 //! inline.
 
 use netpart::engine::{
-    DimensionOrdered, Fabric, FabricPatch, LinkPatch, NodePatch, Router, ShortestPath, SolverMode,
-    Telemetry,
+    DimensionOrdered, Exec, Fabric, FabricPatch, LinkPatch, NodePatch, Router, ShortestPath,
+    SolverMode, Telemetry,
 };
 use netpart::scenario::{
     build_fabric, run_advice, run_readvise, score_candidates, score_candidates_reset, AdviceResult,
@@ -195,14 +196,13 @@ proptest! {
         let router = natural_router(&fabric);
         let telemetry = Telemetry::disabled();
         let reference = score_candidates_reset(
-            &fabric, router.as_ref(), &candidates, gigabytes,
-            SolverMode::Batch, &telemetry,
+            &fabric, router.as_ref(), &candidates, gigabytes, Exec::default(),
         ).expect("strategy emits only routable candidates");
         // The reset path is also mode-stable; the shard path must match
         // both faces of it.
         let incremental = score_candidates_reset(
             &fabric, router.as_ref(), &candidates, gigabytes,
-            SolverMode::Incremental, &telemetry,
+            Exec { solver: SolverMode::Incremental, ..Exec::default() },
         ).expect("routable");
         for (r, i) in reference.iter().zip(&incremental) {
             prop_assert_eq!(
@@ -220,11 +220,9 @@ proptest! {
             ("reversed", &reversed, &reversed_reference),
         ] {
             for cap in [1usize, 2, 8] {
-                rayon::set_max_threads(cap);
-                let scores = score_candidates(
+                let scores = rayon::with_max_threads(cap, || score_candidates(
                     &fabric, router.as_ref(), sets, gigabytes, &telemetry,
-                ).expect("routable");
-                rayon::set_max_threads(0);
+                )).expect("routable");
                 prop_assert_eq!(scores.len(), expected.len());
                 for (i, (score, r)) in scores.iter().zip(expected).enumerate() {
                     prop_assert_eq!(
@@ -254,10 +252,8 @@ proptest! {
         // No base: full recompute on the patched fabric — the ground truth.
         let full = run_readvise(&spec, &patch, None).expect("patched advice runs");
         for cap in [1usize, 8] {
-            rayon::set_max_threads(cap);
-            let carried = run_readvise(&spec, &patch, Some(&base));
-            rayon::set_max_threads(0);
-            let carried = carried.expect("patched advice runs with a base");
+            let carried = rayon::with_max_threads(cap, || run_readvise(&spec, &patch, Some(&base)))
+                .expect("patched advice runs with a base");
             assert_results_bit_identical(&full, &carried, &format!("thread cap {cap}"));
         }
     }

@@ -19,7 +19,7 @@
 //!   scaled).
 
 use netpart::contention::{ContentionModel, Kernel};
-use netpart::engine::{Fabric, SolverMode};
+use netpart::engine::{Exec, Fabric, SolverMode};
 use netpart::scenario::{
     run_advice, AdviceSpec, AllocationSpec, RoutingSpec as ScenarioRouting, TopologySpec,
 };
@@ -201,8 +201,15 @@ fn solver_mode_never_changes_a_single_response_byte() {
         },
     ];
     for request in &requests {
-        let batch = handle_with(request, SolverMode::Batch).encode();
-        let incremental = handle_with(request, SolverMode::Incremental).encode();
+        let batch = handle_with(request, Exec::default()).encode();
+        let incremental = handle_with(
+            request,
+            Exec {
+                solver: SolverMode::Incremental,
+                ..Exec::default()
+            },
+        )
+        .encode();
         assert_eq!(batch, incremental, "request {request:?}");
         // The default entry point is the batch path.
         assert_eq!(handle(request).encode(), batch);
