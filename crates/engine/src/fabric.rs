@@ -406,7 +406,10 @@ impl Fabric {
 
     /// Hop distances from every node *to* `dst` along directed channels
     /// (equal to distances from `dst` because channel sets are symmetric).
-    /// Unreachable nodes get `usize::MAX`.
+    /// Unreachable nodes get `usize::MAX`. One breadth-first search over the
+    /// whole fabric: the minimal routers run it once per distinct
+    /// destination of a flow list and walk every flow to that destination
+    /// down the same table.
     pub fn distances_to(&self, dst: usize) -> Vec<usize> {
         let mut dist = vec![usize::MAX; self.num_nodes];
         let mut queue = std::collections::VecDeque::new();

@@ -56,7 +56,8 @@ pub fn pairing_flows(fabric: &Fabric, gigabytes: f64) -> Vec<Flow> {
 }
 
 /// Route every flow with `router` (pure; errors abort the whole set so a
-/// sweep can skip the case rather than crash).
+/// sweep can skip the case rather than crash), one [`Router::route`] call
+/// per flow: the per-flow reference [`route_flows_csr`] is checked against.
 pub fn route_flows(
     fabric: &Fabric,
     router: &dyn Router,
@@ -70,9 +71,11 @@ pub fn route_flows(
 
 /// Route every flow straight into caller-owned CSR buffers (flow `i`
 /// traverses `path_data[path_offsets[i]..path_offsets[i + 1]]`), reusing
-/// their capacity across calls — the allocation-free companion of
-/// [`route_flows`] for repeated candidate scoring. On error the buffers hold
-/// a partial build and must not be consumed.
+/// their capacity across calls. Delegates to
+/// [`Router::route_flows_into`], so minimal routers search each distinct
+/// destination once; the paths equal [`route_flows`]'s, and an error is
+/// that of the first failing flow. On error the buffers hold a partial
+/// build and must not be consumed.
 pub fn route_flows_csr(
     fabric: &Fabric,
     router: &dyn Router,
@@ -80,14 +83,7 @@ pub fn route_flows_csr(
     path_offsets: &mut Vec<usize>,
     path_data: &mut Vec<ChannelId>,
 ) -> Result<(), EngineError> {
-    path_offsets.clear();
-    path_data.clear();
-    path_offsets.push(0);
-    for f in flows {
-        router.route_into(fabric, f.src, f.dst, path_data)?;
-        path_offsets.push(path_data.len());
-    }
-    Ok(())
+    router.route_flows_into(fabric, flows, path_offsets, path_data)
 }
 
 /// Simulate `flows` on `fabric` under `router` to completion with max–min
@@ -97,9 +93,11 @@ pub fn simulate_flows(
     router: &dyn Router,
     flows: &[Flow],
 ) -> Result<FluidOutcome, EngineError> {
-    let paths = route_flows(fabric, router, flows)?;
+    let (mut offsets, mut data) = (Vec::new(), Vec::new());
+    route_flows_csr(fabric, router, flows, &mut offsets, &mut data)?;
     let sizes: Vec<f64> = flows.iter().map(|f| f.gigabytes).collect();
-    let mut fluid = FluidSim::new(&paths, fabric.capacities(), &sizes);
+    let mut fluid = FluidSim::empty();
+    fluid.reset_csr(&offsets, &data, fabric.capacities(), &sizes);
     fluid.makespan_bound()?;
     fluid.run_to_completion();
     Ok(fluid.into_outcome())
@@ -112,10 +110,11 @@ pub fn static_estimate(
     router: &dyn Router,
     flows: &[Flow],
 ) -> Result<f64, EngineError> {
-    let paths = route_flows(fabric, router, flows)?;
+    let (mut offsets, mut data) = (Vec::new(), Vec::new());
+    route_flows_csr(fabric, router, flows, &mut offsets, &mut data)?;
     let mut load = vec![0.0f64; fabric.num_channels()];
-    for (flow, path) in flows.iter().zip(&paths) {
-        for &c in path {
+    for (i, flow) in flows.iter().enumerate() {
+        for &c in &data[offsets[i]..offsets[i + 1]] {
             load[c as usize] += flow.gigabytes;
         }
     }
@@ -263,11 +262,25 @@ mod tests {
         ];
         for fabric in &fabrics {
             let n = fabric.num_nodes();
-            let flows: Vec<Flow> = (0..n)
+            // A permutation (one flow per destination) and an all-to-all
+            // over every third node, self-flows included (each destination
+            // shared by many flows, so the minimal routers walk grouped).
+            let permutation: Vec<Flow> = (0..n)
                 .map(|src| Flow {
                     src,
                     dst: (src * 7 + 3) % n,
                     gigabytes: 0.5,
+                })
+                .collect();
+            let subset: Vec<usize> = (0..n).step_by(3).collect();
+            let all_to_all: Vec<Flow> = subset
+                .iter()
+                .flat_map(|&src| {
+                    subset.iter().map(move |&dst| Flow {
+                        src,
+                        dst,
+                        gigabytes: 0.5,
+                    })
                 })
                 .collect();
             let routers: Vec<Box<dyn Router>> = if fabric.torus().is_some() {
@@ -283,11 +296,14 @@ mod tests {
                     Box::new(Valiant { seed: 5 }),
                 ]
             };
-            for router in &routers {
-                let per_flow = route_flows(fabric, router.as_ref(), &flows).unwrap();
+            for (router, flows) in routers
+                .iter()
+                .flat_map(|r| [(r, &permutation), (r, &all_to_all)])
+            {
+                let per_flow = route_flows(fabric, router.as_ref(), flows).unwrap();
                 let mut offsets = Vec::new();
                 let mut data = Vec::new();
-                route_flows_csr(fabric, router.as_ref(), &flows, &mut offsets, &mut data).unwrap();
+                route_flows_csr(fabric, router.as_ref(), flows, &mut offsets, &mut data).unwrap();
                 assert_eq!(offsets.len(), flows.len() + 1);
                 for (i, path) in per_flow.iter().enumerate() {
                     assert_eq!(

@@ -11,7 +11,8 @@
 //!   dimension are used in one direction only).
 //! * [`ShortestPath`] / [`Ecmp`] — minimal routing on arbitrary fabrics;
 //!   `ShortestPath` always takes the lowest-numbered minimal channel, `Ecmp`
-//!   hash-spreads over all minimal next hops.
+//!   hash-spreads over all minimal next hops. Both route a flow list with
+//!   one breadth-first search per distinct destination.
 //! * [`Valiant`] — two-phase randomized routing (src → pseudo-random
 //!   intermediate → dst) for adversarial patterns on low-diameter networks.
 //!
@@ -20,6 +21,7 @@
 
 use crate::error::EngineError;
 use crate::fabric::Fabric;
+use crate::flowsim::Flow;
 use crate::maxmin::ChannelId;
 use netpart_topology::coord::{self, wrap_displacement};
 
@@ -28,6 +30,12 @@ use netpart_topology::coord::{self, wrap_displacement};
 const MAX_INLINE_DIMS: usize = 16;
 
 /// A deterministic routing algorithm over a [`Fabric`].
+///
+/// A router routes one pair ([`Router::route`], or appended onto a buffer
+/// with [`Router::route_into`]) or a whole flow list into CSR buffers
+/// ([`Router::route_flows_into`]); all three give the same path for a pair.
+/// The flow-list form is where a router shares work across flows: the
+/// minimal routers search each distinct destination once.
 pub trait Router {
     /// The sequence of channels a packet from `src` to `dst` traverses
     /// (empty when `src == dst`).
@@ -47,6 +55,30 @@ pub trait Router {
         out: &mut Vec<ChannelId>,
     ) -> Result<(), EngineError> {
         out.extend(self.route(fabric, src, dst)?);
+        Ok(())
+    }
+
+    /// Route every flow into CSR buffers: flow `i` traverses
+    /// `data[offsets[i]..offsets[i + 1]]`, each path identical to
+    /// [`Router::route`]'s. The default routes flow by flow with
+    /// [`Router::route_into`]; [`ShortestPath`] and [`Ecmp`] override it to
+    /// search each distinct destination once. On error the buffers hold a
+    /// partial build, and the error is the flow-by-flow loop's: that of the
+    /// first failing flow.
+    fn route_flows_into(
+        &self,
+        fabric: &Fabric,
+        flows: &[Flow],
+        offsets: &mut Vec<usize>,
+        data: &mut Vec<ChannelId>,
+    ) -> Result<(), EngineError> {
+        offsets.clear();
+        data.clear();
+        offsets.push(0);
+        for f in flows {
+            self.route_into(fabric, f.src, f.dst, data)?;
+            offsets.push(data.len());
+        }
         Ok(())
     }
 
@@ -213,6 +245,16 @@ impl Router for ShortestPath {
         minimal_route_into(fabric, src, dst, |_, _| 0, out)
     }
 
+    fn route_flows_into(
+        &self,
+        fabric: &Fabric,
+        flows: &[Flow],
+        offsets: &mut Vec<usize>,
+        data: &mut Vec<ChannelId>,
+    ) -> Result<(), EngineError> {
+        minimal_route_flows(fabric, flows, |_, _| |_, _| 0, offsets, data)
+    }
+
     fn label(&self) -> String {
         "shortest-path".to_string()
     }
@@ -247,18 +289,30 @@ impl Router for Ecmp {
         dst: usize,
         out: &mut Vec<ChannelId>,
     ) -> Result<(), EngineError> {
-        let key = splitmix64(self.salt ^ ((src as u64) << 32) ^ dst as u64);
-        minimal_route_into(
-            fabric,
-            src,
-            dst,
-            |node, n_candidates| (splitmix64(key ^ node as u64) % n_candidates as u64) as usize,
-            out,
-        )
+        minimal_route_into(fabric, src, dst, self.pick(src, dst), out)
+    }
+
+    fn route_flows_into(
+        &self,
+        fabric: &Fabric,
+        flows: &[Flow],
+        offsets: &mut Vec<usize>,
+        data: &mut Vec<ChannelId>,
+    ) -> Result<(), EngineError> {
+        minimal_route_flows(fabric, flows, |src, dst| self.pick(src, dst), offsets, data)
     }
 
     fn label(&self) -> String {
         format!("ecmp(salt={})", self.salt)
+    }
+}
+
+impl Ecmp {
+    /// The hop choice of the flow `src -> dst`: `(node, k)` to the index of
+    /// the distance-reducing channel it takes at `node` among `k`.
+    fn pick(&self, src: usize, dst: usize) -> impl Fn(usize, usize) -> usize {
+        let key = splitmix64(self.salt ^ ((src as u64) << 32) ^ dst as u64);
+        move |node, k| (splitmix64(key ^ node as u64) % k as u64) as usize
     }
 }
 
@@ -326,20 +380,102 @@ fn minimal_route_into(
         return Err(EngineError::Unreachable { src, dst });
     }
     path.reserve(dist[src]);
+    minimal_walk(fabric, &dist, src, pick, path);
+    Ok(())
+}
+
+/// Route `flows` minimally into CSR buffers (see
+/// [`Router::route_flows_into`]) with one [`Fabric::distances_to`] search
+/// per distinct destination. `pick_for(src, dst)` gives a flow's hop choice
+/// as [`minimal_route_into`] takes it, so every path equals the single-pair
+/// route.
+///
+/// Flows are walked grouped by destination (flow order within a group) and
+/// written back in flow order. The error is the flow-by-flow loop's: flows
+/// after the first one naming an out-of-range node are not routed, and that
+/// node's error is returned unless an earlier flow is unreachable.
+fn minimal_route_flows<P: Fn(usize, usize) -> usize>(
+    fabric: &Fabric,
+    flows: &[Flow],
+    pick_for: impl Fn(usize, usize) -> P,
+    offsets: &mut Vec<usize>,
+    data: &mut Vec<ChannelId>,
+) -> Result<(), EngineError> {
+    offsets.clear();
+    data.clear();
+    let in_range = |f: &Flow| {
+        fabric
+            .check_node(f.src)
+            .and_then(|()| fabric.check_node(f.dst))
+    };
+    let range_error = flows.iter().map(in_range).position(|r| r.is_err());
+    let routable = &flows[..range_error.unwrap_or(flows.len())];
+    // Self-flows have empty paths and need no search.
+    let mut order: Vec<usize> = (0..routable.len())
+        .filter(|&i| routable[i].src != routable[i].dst)
+        .collect();
+    order.sort_by_key(|&i| routable[i].dst);
+    let mut walks = Vec::new();
+    let mut spans = vec![(0, 0); routable.len()];
+    let mut unreachable: Option<usize> = None;
+    for group in order.chunk_by(|&a, &b| routable[a].dst == routable[b].dst) {
+        let dst = routable[group[0]].dst;
+        let dist = fabric.distances_to(dst);
+        for &i in group {
+            let src = routable[i].src;
+            if dist[src] == usize::MAX {
+                unreachable = Some(unreachable.map_or(i, |u| u.min(i)));
+                continue;
+            }
+            let start = walks.len();
+            minimal_walk(fabric, &dist, src, pick_for(src, dst), &mut walks);
+            spans[i] = (start, walks.len());
+        }
+    }
+    if let Some(i) = unreachable {
+        let Flow { src, dst, .. } = routable[i];
+        return Err(EngineError::Unreachable { src, dst });
+    }
+    if let Some(i) = range_error {
+        return in_range(&flows[i]);
+    }
+    offsets.reserve(flows.len() + 1);
+    offsets.push(0);
+    data.reserve(walks.len());
+    for (start, end) in spans {
+        data.extend_from_slice(&walks[start..end]);
+        offsets.push(data.len());
+    }
+    Ok(())
+}
+
+/// Append the minimal walk from `src` down `dist`, the distance table of the
+/// walk's destination (`dist[src]` must be finite). At each node it takes
+/// the `pick(node, k)`-th of the `k` distance-reducing channels in
+/// out-channel order; `pick` is only asked when there is a choice.
+fn minimal_walk(
+    fabric: &Fabric,
+    dist: &[usize],
+    src: usize,
+    pick: impl Fn(usize, usize) -> usize,
+    path: &mut Vec<ChannelId>,
+) {
     let mut node = src;
-    while node != dst {
-        let candidates: Vec<ChannelId> = fabric
-            .out_channels(node)
-            .iter()
-            .copied()
-            .filter(|&c| dist[fabric.channel_dst(c)] + 1 == dist[node])
-            .collect();
-        debug_assert!(!candidates.is_empty(), "BFS distance admits a next hop");
-        let chosen = candidates[pick(node, candidates.len())];
+    while dist[node] != 0 {
+        let next = dist[node] - 1;
+        let reducing = || {
+            fabric
+                .out_channels(node)
+                .iter()
+                .copied()
+                .filter(move |&c| dist[fabric.channel_dst(c)] == next)
+        };
+        let k = reducing().count();
+        let i = if k > 1 { pick(node, k) } else { 0 };
+        let chosen = reducing().nth(i).expect("BFS distance admits a next hop");
         path.push(chosen);
         node = fabric.channel_dst(chosen);
     }
-    Ok(())
 }
 
 /// The splitmix64 mixing function: cheap, deterministic, well-spread.

@@ -23,7 +23,8 @@
 //! into fixed shards of eight that fan out over rayon, and each shard scores
 //! its candidates one after another through one reused [`FluidSim`]. Per-pair
 //! routes are computed once per sweep in a spec-scoped route cache, not once
-//! per candidate. A candidate's score depends only on its own flows, so the
+//! per candidate, as one flow list, so minimal routers search each
+//! destination once. A candidate's score depends only on its own flows, so the
 //! result is bit-identical to re-routing and re-arming a simulation per
 //! candidate ([`score_candidates_reset`], kept as the benchmark baseline and
 //! the debug-build shadow reference) at any rayon thread cap.
@@ -39,9 +40,9 @@ use crate::run::ScenarioError;
 use crate::spec::{build_fabric, RoutingSpec, TopologySpec, MAX_FLOWS};
 use netpart_contention::{internal_bisection_gbs_with, ContentionModel, Kernel, SweepOrders};
 use netpart_engine::{
-    route_flows_csr, Allocator, BlockedAllocator, ChannelId, CompactAllocator, Exec, Fabric,
-    FabricPatch, Flow, FluidSim, RandomAllocator, Router, ScatterAllocator, SolverMode, Telemetry,
-    TelemetryEvent,
+    route_flows_csr, Allocator, BlockedAllocator, ChannelId, CompactAllocator, EngineError, Exec,
+    Fabric, FabricPatch, Flow, FluidSim, RandomAllocator, Router, ScatterAllocator, SolverMode,
+    Telemetry, TelemetryEvent,
 };
 use netpart_topology::torus::Cuboid;
 use rayon::prelude::*;
@@ -278,11 +279,10 @@ fn generate_candidates(
     Ok((out, truncated))
 }
 
-/// Reusable scoring buffers: flow list, CSR paths and the fluid simulation
-/// (whose max–min scratch persists across `reset_csr` calls). One instance
-/// scores a run of candidates without per-candidate allocation.
+/// Reusable scoring buffers: CSR paths and the fluid simulation (whose
+/// max–min scratch persists across `reset_csr` calls). One instance scores a
+/// run of candidates without per-candidate allocation.
 struct Scorer {
-    flows: Vec<Flow>,
     sizes: Vec<f64>,
     path_offsets: Vec<usize>,
     path_data: Vec<ChannelId>,
@@ -292,7 +292,6 @@ struct Scorer {
 impl Scorer {
     fn with_mode(mode: SolverMode) -> Self {
         Self {
-            flows: Vec::new(),
             sizes: Vec::new(),
             path_offsets: Vec::new(),
             path_data: Vec::new(),
@@ -300,45 +299,14 @@ impl Scorer {
         }
     }
 
-    /// Route the all-to-all exchange inside `nodes` with `router` and
-    /// simulate it.
+    /// Simulate the all-to-all exchange inside `nodes`, each ordered pair
+    /// `a -> b` taking the path `route(a, b, out)` appends.
     fn simulate(
         &mut self,
         fabric: &Fabric,
-        router: &dyn Router,
         nodes: &[usize],
         gigabytes: f64,
-    ) -> Result<CandidateScore, ScenarioError> {
-        self.flows.clear();
-        for &a in nodes {
-            for &b in nodes {
-                if a != b {
-                    self.flows.push(Flow {
-                        src: a,
-                        dst: b,
-                        gigabytes,
-                    });
-                }
-            }
-        }
-        route_flows_csr(
-            fabric,
-            router,
-            &self.flows,
-            &mut self.path_offsets,
-            &mut self.path_data,
-        )?;
-        self.run(fabric, gigabytes)
-    }
-
-    /// Simulate the all-to-all exchange inside `nodes` over the cached
-    /// routes.
-    fn simulate_cached(
-        &mut self,
-        fabric: &Fabric,
-        routes: &RouteCache,
-        nodes: &[usize],
-        gigabytes: f64,
+        mut route: impl FnMut(usize, usize, &mut Vec<ChannelId>) -> Result<(), EngineError>,
     ) -> Result<CandidateScore, ScenarioError> {
         self.path_offsets.clear();
         self.path_data.clear();
@@ -346,7 +314,7 @@ impl Scorer {
         for &a in nodes {
             for &b in nodes {
                 if a != b {
-                    self.path_data.extend_from_slice(routes.path(a, b));
+                    route(a, b, &mut self.path_data)?;
                     self.path_offsets.push(self.path_data.len());
                 }
             }
@@ -434,7 +402,9 @@ struct RouteCache {
 }
 
 impl RouteCache {
-    /// Route the candidates' pairs, under a `route` span.
+    /// Route the candidates' pairs, under a `route` span: list the distinct
+    /// pairs in first-appearance order, then route them as one flow list,
+    /// so a failure names the first failing pair in that order.
     fn build(
         fabric: &Fabric,
         router: &dyn Router,
@@ -442,24 +412,43 @@ impl RouteCache {
         telemetry: &Telemetry,
     ) -> Result<Self, ScenarioError> {
         let _span = telemetry.span("route");
-        let mut cache = RouteCache {
-            index: HashMap::new(),
-            offsets: vec![0],
-            data: Vec::new(),
-        };
+        // Size the map and the list for the distinct pairs up front: at most
+        // every set's ordered pairs, and at most those among the nodes the
+        // sets name. Growing the map as pairs arrive rehashes it several
+        // times, about a fifth of the whole build on a 16-node torus
+        // question.
+        let mut named = candidates.concat();
+        named.sort_unstable();
+        named.dedup();
+        let bound = candidates
+            .iter()
+            .map(|nodes| nodes.len() * nodes.len().saturating_sub(1))
+            .sum::<usize>()
+            .min(named.len() * named.len().saturating_sub(1));
+        let mut index = HashMap::with_capacity(bound);
+        let mut pairs = Vec::with_capacity(bound);
         for nodes in candidates {
             for &a in nodes {
                 for &b in nodes {
                     if a != b {
-                        if let Entry::Vacant(slot) = cache.index.entry(pair_key(a, b)) {
-                            router.route_into(fabric, a, b, &mut cache.data)?;
-                            slot.insert((cache.offsets.len() - 1) as u32);
-                            cache.offsets.push(cache.data.len());
+                        if let Entry::Vacant(slot) = index.entry(pair_key(a, b)) {
+                            slot.insert(pairs.len() as u32);
+                            pairs.push(Flow {
+                                src: a,
+                                dst: b,
+                                gigabytes: 0.0,
+                            });
                         }
                     }
                 }
             }
         }
+        let mut cache = RouteCache {
+            index,
+            offsets: Vec::new(),
+            data: Vec::new(),
+        };
+        route_flows_csr(fabric, router, &pairs, &mut cache.offsets, &mut cache.data)?;
         Ok(cache)
     }
 
@@ -502,7 +491,10 @@ fn score_with_routes(
                 // read; the simulation's own spans nest under them.
                 let span = telemetry.span(if pos == 0 { "cand_full" } else { "cand_delta" });
                 scorer.fluid.set_telemetry(span.telemetry().clone());
-                scores.push(scorer.simulate_cached(fabric, routes, nodes, gigabytes)?);
+                scores.push(scorer.simulate(fabric, nodes, gigabytes, |a, b, out| {
+                    out.extend_from_slice(routes.path(a, b));
+                    Ok(())
+                })?);
                 // Nothing is carried between candidates: every flow is
                 // scored afresh.
                 span.telemetry().emit(TelemetryEvent::AdviceCandidate {
@@ -545,7 +537,9 @@ pub fn score_candidates(
 /// for every candidate, running `exec.solver` and reporting through
 /// `exec.telemetry`. Kept as the benchmark baseline (`bench_advise`) and as
 /// the debug-build shadow reference the production path is asserted
-/// against.
+/// against. It routes pair by pair with [`Router::route_into`], not through
+/// the flow-list routing the route cache uses, so the shadow also checks
+/// that routing.
 pub fn score_candidates_reset(
     fabric: &Fabric,
     router: &dyn Router,
@@ -557,7 +551,11 @@ pub fn score_candidates_reset(
     scorer.fluid.set_telemetry(exec.telemetry);
     candidates
         .iter()
-        .map(|nodes| scorer.simulate(fabric, router, nodes, gigabytes))
+        .map(|nodes| {
+            scorer.simulate(fabric, nodes, gigabytes, |a, b, out| {
+                router.route_into(fabric, a, b, out)
+            })
+        })
         .collect()
 }
 

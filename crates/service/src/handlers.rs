@@ -882,4 +882,74 @@ mod tests {
             other => panic!("expected an allocation-sweep summary, got {other:?}"),
         }
     }
+
+    #[test]
+    fn unroutable_requests_name_the_first_failing_pair() {
+        // A circulant with the single skip 2 splits into even and odd
+        // nodes, so pairs across the split have no path. Each reply names
+        // the first pair, in the order the request lists its flows, that
+        // fails to route, whichever router runs.
+        use crate::protocol::{AllocationSpec, RoutingSpec, ScenarioSpec, TrafficSpec};
+        let split = TopologySpec::Expander(40, vec![2]);
+        let advise = |routing, candidates| {
+            handle(&Request::AdviseFabric {
+                spec: AdviceSpec {
+                    topology: split.clone(),
+                    routing,
+                    nodes: 16,
+                    gigabytes: 0.25,
+                    candidates,
+                    seed: 3,
+                },
+            })
+            .encode()
+        };
+        let unreachable = |src, dst| {
+            format!(
+                r#"{{"code":"unsupported","message":"engine: no path from node {src} to node {dst}","type":"error"}}"#
+            )
+        };
+        let random = AllocationSpec::Random { samples: 4 };
+        assert_eq!(
+            advise(RoutingSpec::ShortestPath, vec![AllocationSpec::Blocked]),
+            unreachable(0, 1)
+        );
+        assert_eq!(
+            advise(RoutingSpec::ShortestPath, vec![random]),
+            unreachable(1, 4)
+        );
+        assert_eq!(
+            advise(RoutingSpec::Ecmp { salt: 1 }, vec![random]),
+            unreachable(1, 4)
+        );
+        let scenario = |routing, traffic| ScenarioSpec {
+            topology: split.clone(),
+            routing,
+            traffic,
+            seed: 3,
+        };
+        let scenarios = vec![
+            scenario(
+                RoutingSpec::ShortestPath,
+                TrafficSpec::AllToAll { gigabytes: 1.0 },
+            ),
+            scenario(
+                RoutingSpec::Valiant { seed: 3 },
+                TrafficSpec::RandomPermutation { gigabytes: 1.0 },
+            ),
+        ];
+        match handle(&Request::Sweep { scenarios }) {
+            Response::SweepSummary { results } => {
+                let errors: Vec<_> = results.iter().map(|line| line.error.as_deref()).collect();
+                assert_eq!(
+                    errors,
+                    [
+                        Some("engine: no path from node 0 to node 1"),
+                        Some("engine: no path from node 0 to node 21"),
+                    ]
+                );
+            }
+            other => panic!("expected a sweep summary, got {other:?}"),
+        }
+    }
 }

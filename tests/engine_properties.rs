@@ -3,7 +3,8 @@
 //! lower-bound invariants the subsystem is built on.
 
 use netpart::engine::{
-    simulate_flows, DimensionOrdered, Ecmp, Fabric, Flow, Router, ShortestPath, Valiant,
+    route_flows, route_flows_csr, simulate_flows, DimensionOrdered, Ecmp, Fabric, Flow, Router,
+    ShortestPath, Valiant,
 };
 use netpart::topology::{
     Circulant, Dragonfly, FatTree, GlobalArrangement, HyperX, Hypercube, SlimFly, Topology, Torus,
@@ -107,6 +108,72 @@ proptest! {
             if flow.src != flow.dst {
                 let fastest = fabric.capacities().iter().copied().fold(0.0, f64::max);
                 prop_assert!(*done >= flow.gigabytes / fastest - 1e-9);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_env(64))]
+
+    /// Routing a flow list into CSR buffers gives, flow for flow, the path
+    /// of a per-flow `Router::route` call, on lists whose destinations
+    /// repeat (where the minimal routers search each destination once),
+    /// with self-flows and an optional out-of-range node anywhere. On a
+    /// failing list the error is the per-flow loop's first: the disconnected
+    /// circulant (even and odd nodes never meet) makes unreachable pairs.
+    #[test]
+    fn flow_list_routing_matches_per_flow_routing(
+        fabric_idx in 0usize..7,
+        pool in proptest::collection::vec(0usize..10_000, 1..=4),
+        picks in proptest::collection::vec((0usize..10_000, 0usize..4, 0u8..6), 1..40),
+        out_of_range in proptest::option::of((0usize..10_000, 0usize..3, any::<bool>())),
+        salt in 0u64..1000,
+    ) {
+        let fabric = if fabric_idx == 6 {
+            Fabric::from_topology(&Circulant::new(40, vec![2]), 2.0)
+        } else {
+            catalog_fabric(fabric_idx)
+        };
+        let n = fabric.num_nodes();
+        let mut flows: Vec<Flow> = picks
+            .iter()
+            .map(|&(src, slot, kind)| {
+                let src = src % n;
+                // One flow in six is a self-flow; the rest share the pool's
+                // few destinations.
+                let dst = if kind == 0 { src } else { pool[slot % pool.len()] % n };
+                Flow { src, dst, gigabytes: 1.0 }
+            })
+            .collect();
+        if let Some((pos, beyond, as_src)) = out_of_range {
+            let (inside, outside) = (pos % n, n + beyond);
+            let (src, dst) = if as_src { (outside, inside) } else { (inside, outside) };
+            flows.insert(pos % (flows.len() + 1), Flow { src, dst, gigabytes: 1.0 });
+        }
+        for router in [
+            &ShortestPath as &dyn Router,
+            &Ecmp { salt },
+            &Valiant { seed: salt },
+        ] {
+            // Stale contents: the call must clear the buffers.
+            let (mut offsets, mut data) = (vec![7], vec![3]);
+            let got = route_flows_csr(&fabric, router, &flows, &mut offsets, &mut data);
+            match route_flows(&fabric, router, &flows) {
+                Ok(paths) => {
+                    prop_assert_eq!(got, Ok(()), "{}", router.label());
+                    prop_assert_eq!(offsets.len(), flows.len() + 1);
+                    for (i, path) in paths.iter().enumerate() {
+                        prop_assert_eq!(
+                            &data[offsets[i]..offsets[i + 1]],
+                            path.as_slice(),
+                            "{} flow {}",
+                            router.label(),
+                            i
+                        );
+                    }
+                }
+                Err(first) => prop_assert_eq!(got, Err(first), "{}", router.label()),
             }
         }
     }
