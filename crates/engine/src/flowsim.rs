@@ -1,13 +1,15 @@
 //! The flow-simulation scenario: fluid flows on any fabric.
 //!
 //! Route a flow set with any [`Router`], then run the [`FluidSim`] to
-//! completion. The paper's torus experiments (kernels, CAPS, bisection
-//! pairing) all run through [`simulate_flows`] with
-//! [`DimensionOrdered`](crate::DimensionOrdered) routing on
+//! completion: [`simulate_flows_with`] is the one body, under explicit
+//! execution choices ([`Exec`]), and [`simulate_flows`] its default form.
+//! The paper's torus experiments (kernels, CAPS, bisection pairing) all run
+//! through it with [`DimensionOrdered`](crate::DimensionOrdered) routing on
 //! [`Fabric::from_torus`] fabrics; [`pairing_flows`] generates the
 //! bisection-pairing traffic.
 
 use crate::error::EngineError;
+use crate::exec::Exec;
 use crate::fabric::Fabric;
 use crate::fluid::{FluidOutcome, FluidSim};
 use crate::maxmin::ChannelId;
@@ -93,10 +95,30 @@ pub fn simulate_flows(
     router: &dyn Router,
     flows: &[Flow],
 ) -> Result<FluidOutcome, EngineError> {
-    let (mut offsets, mut data) = (Vec::new(), Vec::new());
+    simulate_flows_with(fabric, router, flows, Exec::default())
+}
+
+/// [`simulate_flows`] under explicit execution choices: the routing runs
+/// under a `route` span, and the [`FluidSim`] runs `exec.solver` and records
+/// its `csr_build` and `fluid_solve` spans and per-round (and per-repair)
+/// events through `exec.telemetry`. No choice changes the outcome. A flow
+/// set whose clock could overflow is refused with
+/// [`EngineError::NonFiniteTime`] before it runs.
+pub fn simulate_flows_with(
+    fabric: &Fabric,
+    router: &dyn Router,
+    flows: &[Flow],
+    exec: impl Into<Exec>,
+) -> Result<FluidOutcome, EngineError> {
+    let exec = exec.into();
+    let route_span = exec.telemetry.span("route");
+    let (mut offsets, mut data) = (Vec::with_capacity(flows.len() + 1), Vec::new());
     route_flows_csr(fabric, router, flows, &mut offsets, &mut data)?;
+    drop(route_span);
     let sizes: Vec<f64> = flows.iter().map(|f| f.gigabytes).collect();
-    let mut fluid = FluidSim::empty();
+    // The telemetry goes on before the CSR build, so `csr_build` fires.
+    let mut fluid = FluidSim::empty_with_mode(exec.solver);
+    fluid.set_telemetry(exec.telemetry);
     fluid.reset_csr(&offsets, &data, fabric.capacities(), &sizes);
     fluid.makespan_bound()?;
     fluid.run_to_completion();

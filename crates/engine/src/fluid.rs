@@ -13,14 +13,13 @@
 //! set and the first batch round after a solver-mode switch start cold.
 //!
 //! It is deliberately driver agnostic: [`FluidSim::run_to_completion`]
-//! runs it in a plain loop, [`FluidSim::run_until_first_done`] stops once a
-//! prefix of the flows has finished, and this crate's
-//! [`flowsim`](crate::flowsim) scenario drives the *same* state machine
-//! through the event queue — so all three produce bit-identical completion
-//! times on identical inputs. Callers that score many flow sets (the advice
-//! candidates) re-arm one instance for each set with
-//! [`FluidSim::reset_csr`]: this is the workspace's only completion-round
-//! loop.
+//! runs it in a plain loop (what [`simulate_flows_with`](crate::simulate_flows_with)
+//! calls for a routed flow set), and [`FluidSim::run_until_first_done`]
+//! stops once a prefix of the flows has finished (the cluster scheduler's
+//! penalty runs) — with bit-identical completion times for the flows both
+//! finish. Callers that score many flow sets (the advice candidates) re-arm
+//! one instance for each set with [`FluidSim::reset_csr`]: this is the
+//! workspace's only completion-round loop.
 
 use crate::error::EngineError;
 use crate::incremental::{IncrementalMaxMin, SolverMode};

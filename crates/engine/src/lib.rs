@@ -116,13 +116,14 @@ pub use event::{ComponentId, Event, EventId, EventQueue, QueueKind};
 pub use exec::Exec;
 pub use fabric::{Channel, Fabric, FabricPatch, LinkPatch, NodePatch};
 pub use flowsim::{
-    pairing_flows, route_flows, route_flows_csr, simulate_flows, static_estimate, Flow,
+    pairing_flows, route_flows, route_flows_csr, simulate_flows, simulate_flows_with,
+    static_estimate, Flow,
 };
 pub use fluid::{FluidOutcome, FluidSim};
 pub use incremental::{IncrementalMaxMin, SolverMode};
 pub use maxmin::{max_min_rates_csr, max_min_rates_warm, ChannelId, MaxMinScratch};
 pub use router::{DimensionOrdered, Ecmp, Router, ShortestPath, TieBreak, Valiant};
-pub use sim::{Component, Context, Simulation, PROGRESS_EVERY};
+pub use sim::{Component, Context, Simulation};
 
 // Re-exported so downstream layers can take a telemetry sink without
 // depending on `netpart-telemetry` directly.

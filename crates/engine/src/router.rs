@@ -31,31 +31,36 @@ const MAX_INLINE_DIMS: usize = 16;
 
 /// A deterministic routing algorithm over a [`Fabric`].
 ///
-/// A router routes one pair ([`Router::route`], or appended onto a buffer
-/// with [`Router::route_into`]) or a whole flow list into CSR buffers
-/// ([`Router::route_flows_into`]); all three give the same path for a pair.
-/// The flow-list form is where a router shares work across flows: the
-/// minimal routers search each distinct destination once.
+/// A router routes one pair, appended onto a buffer ([`Router::route_into`])
+/// or as its own vector ([`Router::route`]), or a whole flow list into CSR
+/// buffers ([`Router::route_flows_into`]); all three give the same path for
+/// a pair. The flow-list form is where a router shares work across flows:
+/// the minimal routers search each distinct destination once.
 pub trait Router {
-    /// The sequence of channels a packet from `src` to `dst` traverses
-    /// (empty when `src == dst`).
-    fn route(&self, fabric: &Fabric, src: usize, dst: usize)
-        -> Result<Vec<ChannelId>, EngineError>;
-
-    /// Append the channel path from `src` to `dst` onto `out`. The default
-    /// delegates to [`Router::route`]; the routers in this crate override it
-    /// to append without a per-flow allocation, which is what keeps repeated
-    /// candidate-allocation scoring allocation-free. On error `out` may hold
-    /// a partial path — callers rebuild their buffers on failure.
+    /// Append the channel path from `src` to `dst` onto `out` (nothing when
+    /// `src == dst`), without a per-flow allocation: this is what keeps
+    /// repeated candidate-allocation scoring allocation-free. On error `out`
+    /// may hold a partial path — callers rebuild their buffers on failure.
     fn route_into(
         &self,
         fabric: &Fabric,
         src: usize,
         dst: usize,
         out: &mut Vec<ChannelId>,
-    ) -> Result<(), EngineError> {
-        out.extend(self.route(fabric, src, dst)?);
-        Ok(())
+    ) -> Result<(), EngineError>;
+
+    /// The sequence of channels a packet from `src` to `dst` traverses
+    /// (empty when `src == dst`): [`Router::route_into`] into a fresh
+    /// vector.
+    fn route(
+        &self,
+        fabric: &Fabric,
+        src: usize,
+        dst: usize,
+    ) -> Result<Vec<ChannelId>, EngineError> {
+        let mut path = Vec::new();
+        self.route_into(fabric, src, dst, &mut path)?;
+        Ok(path)
     }
 
     /// Route every flow into CSR buffers: flow `i` traverses
@@ -113,17 +118,6 @@ pub struct DimensionOrdered {
 }
 
 impl Router for DimensionOrdered {
-    fn route(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        dst: usize,
-    ) -> Result<Vec<ChannelId>, EngineError> {
-        let mut path = Vec::new();
-        self.route_into(fabric, src, dst, &mut path)?;
-        Ok(path)
-    }
-
     fn route_into(
         &self,
         fabric: &Fabric,
@@ -224,17 +218,6 @@ impl Router for DimensionOrdered {
 pub struct ShortestPath;
 
 impl Router for ShortestPath {
-    fn route(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        dst: usize,
-    ) -> Result<Vec<ChannelId>, EngineError> {
-        let mut path = Vec::new();
-        self.route_into(fabric, src, dst, &mut path)?;
-        Ok(path)
-    }
-
     fn route_into(
         &self,
         fabric: &Fabric,
@@ -271,17 +254,6 @@ pub struct Ecmp {
 }
 
 impl Router for Ecmp {
-    fn route(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        dst: usize,
-    ) -> Result<Vec<ChannelId>, EngineError> {
-        let mut path = Vec::new();
-        self.route_into(fabric, src, dst, &mut path)?;
-        Ok(path)
-    }
-
     fn route_into(
         &self,
         fabric: &Fabric,
@@ -326,17 +298,6 @@ pub struct Valiant {
 }
 
 impl Router for Valiant {
-    fn route(
-        &self,
-        fabric: &Fabric,
-        src: usize,
-        dst: usize,
-    ) -> Result<Vec<ChannelId>, EngineError> {
-        let mut path = Vec::new();
-        self.route_into(fabric, src, dst, &mut path)?;
-        Ok(path)
-    }
-
     fn route_into(
         &self,
         fabric: &Fabric,

@@ -7,13 +7,7 @@
 //! clock monotonically to each event's timestamp.
 
 use crate::event::{ComponentId, Event, EventId, EventQueue, QueueKind};
-use netpart_telemetry::{Telemetry, TelemetryEvent};
-
-/// Default cadence of the [`TelemetryEvent::EngineProgress`] heartbeat, in
-/// delivered events. Re-exported from the telemetry crate; override per
-/// handle with [`Telemetry::set_progress_every`] before
-/// [`Simulation::set_telemetry`].
-pub const PROGRESS_EVERY: u64 = netpart_telemetry::DEFAULT_PROGRESS_EVERY;
+use netpart_telemetry::{Telemetry, TelemetryEvent, DEFAULT_PROGRESS_EVERY};
 
 /// An event handler registered with a [`Simulation`].
 ///
@@ -81,7 +75,6 @@ pub struct Simulation<P> {
     clock: f64,
     processed: u64,
     telemetry: Telemetry,
-    progress_mask: u64,
 }
 
 impl<P> Default for Simulation<P> {
@@ -108,7 +101,6 @@ impl<P> Simulation<P> {
             clock: 0.0,
             processed: 0,
             telemetry: Telemetry::disabled(),
-            progress_mask: PROGRESS_EVERY - 1,
         }
     }
 
@@ -117,13 +109,11 @@ impl<P> Simulation<P> {
         self.queue.kind()
     }
 
-    /// Route a periodic [`TelemetryEvent::EngineProgress`] heartbeat through
-    /// `telemetry`, so a tail can watch a long event loop make progress
-    /// without perturbing it. The cadence is the handle's
-    /// [`Telemetry::progress_every`] (default [`PROGRESS_EVERY`]), sampled
-    /// here — always a power of two, so the per-event check stays a mask.
+    /// Route a [`TelemetryEvent::EngineProgress`] heartbeat, one per
+    /// [`DEFAULT_PROGRESS_EVERY`] delivered events, through `telemetry`, so
+    /// a tail can watch a long event loop make progress without perturbing
+    /// it.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.progress_mask = telemetry.progress_every() - 1;
         self.telemetry = telemetry;
     }
 
@@ -177,7 +167,7 @@ impl<P> Simulation<P> {
         };
         self.clock = self.clock.max(event.time);
         self.processed += 1;
-        if self.processed & self.progress_mask == 0 {
+        if self.processed.is_multiple_of(DEFAULT_PROGRESS_EVERY) {
             self.telemetry.emit(TelemetryEvent::EngineProgress {
                 events_processed: self.processed,
                 sim_time: self.clock,

@@ -456,45 +456,110 @@ impl RouteCache {
         let route = self.index[&pair_key(a, b)] as usize;
         &self.data[self.offsets[route]..self.offsets[route + 1]]
     }
+
+    /// Whether any ordered pair of `nodes` is routed over a channel of
+    /// `changed` (sorted).
+    fn crosses(&self, nodes: &[usize], changed: &[ChannelId]) -> bool {
+        nodes.iter().any(|&a| {
+            nodes.iter().any(|&b| {
+                a != b
+                    && self
+                        .path(a, b)
+                        .iter()
+                        .any(|c| changed.binary_search(c).is_ok())
+            })
+        })
+    }
 }
 
-/// The scoring core: the distinct node sets of [`dedup_candidates`] go
-/// through fixed shards, one reused [`FluidSim`] per shard, routes from the
-/// shared cache. Returns one score per *input* candidate, candidate `i`
-/// reading the score of its distinct set `rep_of[i]`.
+/// What a re-advice carries over from the answer for the unpatched fabric.
+struct Carry<'a> {
+    /// Each candidate's simulated score in that answer, where it has one.
+    scores: Vec<Option<CandidateScore>>,
+    /// The channels whose capacity the patch changed, sorted.
+    changed: &'a [ChannelId],
+}
+
+impl<'a> Carry<'a> {
+    /// Look each candidate up in `base` by label and node set (a generator
+    /// listed twice matches its first copy; both scored the same).
+    fn new(base: &AdviceResult, changed: &'a [ChannelId], candidates: &LabeledAllocations) -> Self {
+        let scores = candidates
+            .iter()
+            .map(|(label, nodes)| {
+                base.candidates
+                    .iter()
+                    .find(|c| c.label == *label && c.nodes == *nodes)
+                    .map(|c| CandidateScore {
+                        simulated_seconds: c.simulated_seconds,
+                        solves: c.solves,
+                    })
+            })
+            .collect();
+        Carry { scores, changed }
+    }
+}
+
+/// The scoring core. Duplicate node sets collapse ([`dedup_candidates`]),
+/// their pairs are routed once ([`RouteCache`]), a distinct set keeps the
+/// score `carry` holds for any candidate naming it unless one of its routes
+/// crosses a changed channel, and the remaining sets are simulated in fixed
+/// shards, one reused [`FluidSim`] per shard. Returns one score per
+/// candidate, in input order.
 ///
 /// Scores depend only on a candidate's own flow multiset, never on what
 /// the shard's simulation scored before it (the parity suite and the debug
 /// shadow pin this), so collapsing duplicates and sharding are pure
 /// execution choices: the returned scores are bit-identical to scoring
-/// every candidate separately, at any worker thread cap.
+/// every candidate separately, at any worker thread cap. A carried score
+/// is too: routing is capacity-blind, so a set whose routes avoid every
+/// changed channel keeps its paths, and with them its rates.
 ///
 /// # Errors
-/// The first candidate, in input order of the distinct sets, whose
-/// simulated clock could overflow ([`FluidSim::makespan_bound`]).
-fn score_with_routes(
+/// A routing failure, or the first simulated set, in first-appearance
+/// order, whose clock could overflow ([`FluidSim::makespan_bound`]).
+fn score_sets(
     fabric: &Fabric,
-    routes: &RouteCache,
-    (distinct, rep_of): (Vec<Vec<usize>>, Vec<usize>),
+    router: &dyn Router,
+    candidates: &[Vec<usize>],
+    carry: Option<Carry<'_>>,
     gigabytes: f64,
     telemetry: &Telemetry,
 ) -> Result<Vec<CandidateScore>, ScenarioError> {
-    let shards: Vec<Result<Vec<CandidateScore>, ScenarioError>> = distinct
+    let (distinct, rep_of) = dedup_candidates(candidates);
+    let routes = RouteCache::build(fabric, router, &distinct, telemetry)?;
+    let mut scores: Vec<Option<CandidateScore>> = vec![None; distinct.len()];
+    if let Some(carry) = carry {
+        for (&slot, &score) in rep_of.iter().zip(&carry.scores) {
+            scores[slot] = scores[slot].or(score);
+        }
+        for (score, nodes) in scores.iter_mut().zip(&distinct) {
+            if score.is_some() && routes.crosses(nodes, carry.changed) {
+                *score = None;
+            }
+        }
+    }
+    let pending: Vec<usize> = (0..distinct.len())
+        .filter(|&slot| scores[slot].is_none())
+        .collect();
+    let shards: Vec<Result<Vec<CandidateScore>, ScenarioError>> = pending
         .chunks(SHARD_CANDIDATES)
         .into_par_iter()
         .map(|shard| {
             let mut scorer = Scorer::with_mode(SolverMode::Batch);
             let mut scores = Vec::with_capacity(shard.len());
-            for (pos, nodes) in shard.iter().enumerate() {
+            for (pos, &slot) in shard.iter().enumerate() {
                 // `cand_full` (the shard's first candidate) and `cand_delta`
                 // (the rest) are the labels the per-layer benchmark metrics
                 // read; the simulation's own spans nest under them.
                 let span = telemetry.span(if pos == 0 { "cand_full" } else { "cand_delta" });
                 scorer.fluid.set_telemetry(span.telemetry().clone());
-                scores.push(scorer.simulate(fabric, nodes, gigabytes, |a, b, out| {
-                    out.extend_from_slice(routes.path(a, b));
-                    Ok(())
-                })?);
+                scores.push(
+                    scorer.simulate(fabric, &distinct[slot], gigabytes, |a, b, out| {
+                        out.extend_from_slice(routes.path(a, b));
+                        Ok(())
+                    })?,
+                );
                 // Nothing is carried between candidates: every flow is
                 // scored afresh.
                 span.telemetry().emit(TelemetryEvent::AdviceCandidate {
@@ -505,16 +570,23 @@ fn score_with_routes(
             Ok(scores)
         })
         .collect();
-    let mut scores = Vec::with_capacity(distinct.len());
+    let mut fresh = Vec::with_capacity(pending.len());
     for shard in shards {
-        scores.extend(shard?);
+        fresh.extend(shard?);
     }
-    Ok(rep_of.iter().map(|&slot| scores[slot]).collect())
+    for (slot, score) in pending.into_iter().zip(fresh) {
+        scores[slot] = Some(score);
+    }
+    Ok(rep_of
+        .iter()
+        .map(|&slot| scores[slot].expect("every distinct set is carried or simulated"))
+        .collect())
 }
 
-/// Score each candidate node set's all-to-all exchange (the production
-/// advice path). Returns one score per candidate, in input order;
-/// bit-identical to [`score_candidates_reset`] at any thread cap.
+/// Score each candidate node set's all-to-all exchange as the advice
+/// pipeline does, with nothing carried over. Returns one score per
+/// candidate, in input order; bit-identical to [`score_candidates_reset`]
+/// at any thread cap.
 ///
 /// # Errors
 /// A routing failure, or [`EngineError::NonFiniteTime`] when a candidate's
@@ -528,9 +600,7 @@ pub fn score_candidates(
     gigabytes: f64,
     telemetry: &Telemetry,
 ) -> Result<Vec<CandidateScore>, ScenarioError> {
-    let dedup = dedup_candidates(candidates);
-    let routes = RouteCache::build(fabric, router, &dedup.0, telemetry)?;
-    score_with_routes(fabric, &routes, dedup, gigabytes, telemetry)
+    score_sets(fabric, router, candidates, None, gigabytes, telemetry)
 }
 
 /// The reset-per-candidate scoring path: re-route and re-arm a [`FluidSim`]
@@ -601,7 +671,7 @@ pub fn run_advice_with(
     exec: impl Into<Exec>,
 ) -> Result<AdviceResult, ScenarioError> {
     let fabric = validate_spec(spec)?;
-    advise_on_fabric(spec, &fabric, &exec.into())
+    advise_on_fabric(spec, &fabric, &exec.into(), None)
 }
 
 /// The spec-level validation shared by [`run_advice_with`] and
@@ -717,12 +787,16 @@ fn assemble_result(
     })
 }
 
-/// Answer an already-validated spec on an explicit fabric (the spec's own,
-/// or a patched clone of it).
+/// The advice pipeline: answer an already-validated spec on an explicit
+/// fabric (the spec's own, or a patched clone of it). `carry`, when given,
+/// is the answer for the unpatched fabric and the channels the patch
+/// changed; candidates whose routes avoid those channels keep their scores
+/// from it (see [`score_sets`]).
 fn advise_on_fabric(
     spec: &AdviceSpec,
     fabric: &Fabric,
     exec: &Exec,
+    carry: Option<(&AdviceResult, &[ChannelId])>,
 ) -> Result<AdviceResult, ScenarioError> {
     let telemetry = &exec.telemetry;
     let generate_span = telemetry.span("generate_cands");
@@ -740,10 +814,11 @@ fn advise_on_fabric(
     let router = spec.routing.build();
     let score_span = telemetry.span("score_cands");
     let node_sets: Vec<Vec<usize>> = candidates.iter().map(|(_, nodes)| nodes.clone()).collect();
-    let scores = score_candidates(
+    let scores = score_sets(
         fabric,
         router.as_ref(),
         &node_sets,
+        carry.map(|(base, changed)| Carry::new(base, changed, &candidates)),
         spec.gigabytes,
         score_span.telemetry(),
     )?;
@@ -751,8 +826,8 @@ fn advise_on_fabric(
     // through the reset-per-candidate path (under the requested solver
     // mode, the only use of `exec.solver` here: the production path always
     // runs batch) and insist on bitwise agreement, so any divergence in the
-    // route cache, the dedup or the shards fails loudly in CI rather than
-    // skewing advice.
+    // route cache, the dedup, the shards or a carried score fails loudly in
+    // CI rather than skewing advice.
     #[cfg(debug_assertions)]
     {
         let reference = score_candidates_reset(
@@ -802,86 +877,14 @@ pub fn run_readvise_with(
     base: Option<&AdviceResult>,
     exec: impl Into<Exec>,
 ) -> Result<AdviceResult, ScenarioError> {
-    let exec = exec.into();
-    let telemetry = &exec.telemetry;
     let fabric = validate_spec(spec)?;
     let (patched, changed) = fabric.patched(patch)?;
     // A base computed for a different question (or none at all) has nothing
     // to carry over.
     let base = base
         .filter(|b| b.label == spec.label() && b.nodes == spec.nodes && b.fabric == patched.name());
-    let Some(base) = base else {
-        return advise_on_fabric(spec, &patched, &exec);
-    };
-    let generate_span = telemetry.span("generate_cands");
-    let (candidates, truncated) = generate_candidates(spec, &patched)?;
-    drop(generate_span);
-    if candidates.is_empty() {
-        return Err(invalid(format!(
-            "no candidate allocation of {} nodes exists for the requested generators",
-            spec.nodes
-        )));
-    }
-    let router = spec.routing.build();
-    let score_span = telemetry.span("score_cands");
-    let routes = RouteCache::build(
-        &patched,
-        router.as_ref(),
-        &candidate_sets(&candidates),
-        score_span.telemetry(),
-    )?;
-    // The base's simulated scores, by candidate identity. Duplicate
-    // identities (the same generator listed twice) collapse; their scores
-    // are identical by construction.
-    let cached: HashMap<(&str, &[usize]), CandidateScore> = base
-        .candidates
-        .iter()
-        .map(|c| {
-            (
-                (c.label.as_str(), c.nodes.as_slice()),
-                CandidateScore {
-                    simulated_seconds: c.simulated_seconds,
-                    solves: c.solves,
-                },
-            )
-        })
-        .collect();
-    let mut carried: Vec<Option<CandidateScore>> = vec![None; candidates.len()];
-    let mut affected_sets: Vec<Vec<usize>> = Vec::new();
-    for (i, (label, nodes)) in candidates.iter().enumerate() {
-        let crosses_patch = nodes.iter().any(|&a| {
-            nodes.iter().any(|&b| {
-                a != b
-                    && routes
-                        .path(a, b)
-                        .iter()
-                        .any(|c| changed.binary_search(c).is_ok())
-            })
-        });
-        match cached.get(&(label.as_str(), nodes.as_slice())) {
-            Some(&score) if !crosses_patch => carried[i] = Some(score),
-            _ => affected_sets.push(nodes.clone()),
-        }
-    }
-    let fresh = score_with_routes(
-        &patched,
-        &routes,
-        dedup_candidates(&affected_sets),
-        spec.gigabytes,
-        score_span.telemetry(),
-    )?;
-    drop(score_span);
-    let mut fresh = fresh.into_iter();
-    let scores: Vec<CandidateScore> = carried
-        .into_iter()
-        .map(|kept| kept.unwrap_or_else(|| fresh.next().expect("one fresh score per affected")))
-        .collect();
-    assemble_result(spec, &patched, candidates, scores, truncated)
-}
-
-/// The node sets of labelled candidates, in order.
-fn candidate_sets(candidates: &LabeledAllocations) -> Vec<Vec<usize>> {
-    candidates.iter().map(|(_, nodes)| nodes.clone()).collect()
+    let carry = base.map(|base| (base, changed.as_slice()));
+    advise_on_fabric(spec, &patched, &exec.into(), carry)
 }
 
 /// Run a batch of advice specs in parallel (rayon), preserving input order.
@@ -1104,7 +1107,7 @@ mod tests {
         let fabric = build_fabric(&spec.topology).unwrap();
         let router = spec.routing.build();
         let (candidates, _) = generate_candidates(&spec, &fabric).unwrap();
-        let sets = candidate_sets(&candidates);
+        let sets: Vec<Vec<usize>> = candidates.into_iter().map(|(_, nodes)| nodes).collect();
         let scores = score_candidates(
             &fabric,
             router.as_ref(),

@@ -6,8 +6,8 @@ use crate::spec::{
     ScenarioSpec, TrafficSpec, MAX_FLOWS, MAX_JOBS,
 };
 use netpart_engine::{
-    pairing_flows, route_flows_csr, simulate_cluster_with, EngineError, Exec, Fabric, Flow,
-    FluidSim, Router, TelemetryEvent,
+    pairing_flows, simulate_cluster_with, simulate_flows_with, EngineError, Exec, Fabric, Flow,
+    Router, TelemetryEvent,
 };
 use netpart_sched::{generate_trace, simulate_events_with, TraceConfig};
 use rand::rngs::StdRng;
@@ -164,18 +164,18 @@ fn permutation_flows(fabric: &Fabric, gigabytes: f64, seed: u64) -> Vec<Flow> {
         .collect()
 }
 
-/// Simulate a flow set to completion and render it as a scenario result,
-/// scaling times by `scale` (1 for single-shot patterns, the measured-round
-/// count for the pairing benchmark). A volume or round count so large that
-/// a time overflows is refused: JSON cannot carry a non-finite number, so
-/// no client could read that answer.
+/// Simulate a flow set to completion ([`simulate_flows_with`]) and render
+/// it as a scenario result, scaling times by `scale` (1 for single-shot
+/// patterns, the measured-round count for the pairing benchmark). A volume
+/// or round count so large that a time overflows is refused: JSON cannot
+/// carry a non-finite number, so no client could read that answer.
 fn run_flow_pattern(
     spec: &ScenarioSpec,
     fabric: &Fabric,
     router: &dyn Router,
     flows: Vec<Flow>,
     scale: f64,
-    exec: &Exec,
+    exec: Exec,
 ) -> Result<ScenarioResult, ScenarioError> {
     if flows.len() > MAX_FLOWS {
         return Err(invalid(format!(
@@ -189,22 +189,7 @@ fn run_flow_pattern(
     {
         return Err(invalid("flow volumes must be finite and non-negative"));
     }
-    let route_span = exec.telemetry.span("route");
-    let mut offsets = Vec::with_capacity(flows.len() + 1);
-    let mut data = Vec::new();
-    route_flows_csr(fabric, router, &flows, &mut offsets, &mut data)?;
-    drop(route_span);
-    let sizes: Vec<f64> = flows.iter().map(|f| f.gigabytes).collect();
-    // Build through `empty_with_mode` + `reset_csr` rather than
-    // `FluidSim::new` so the telemetry handle is attached before the CSR
-    // build and the `csr_build` span fires; the two paths are bit-identical
-    // (pinned by `reused_simulation_matches_fresh_construction_bit_for_bit`).
-    let mut fluid = FluidSim::empty_with_mode(exec.solver);
-    fluid.set_telemetry(exec.telemetry.clone());
-    fluid.reset_csr(&offsets, &data, fabric.capacities(), &sizes);
-    fluid.makespan_bound()?;
-    fluid.run_to_completion();
-    let outcome = fluid.into_outcome();
+    let outcome = simulate_flows_with(fabric, router, &flows, exec)?;
     let makespan = outcome.makespan * scale;
     let mean_completion = outcome.mean_completion() * scale;
     if !(makespan.is_finite() && mean_completion.is_finite()) {
@@ -223,7 +208,7 @@ fn run_flow_pattern(
         solves: outcome.rounds,
         detail: ScenarioDetail::Flows {
             bottleneck_lower_bound: outcome.bottleneck_lower_bound * scale,
-            total_gigabytes: sizes.iter().sum::<f64>() * scale,
+            total_gigabytes: flows.iter().map(|f| f.gigabytes).sum::<f64>() * scale,
         },
     })
 }
@@ -287,15 +272,15 @@ pub fn run_scenario_with(
             }
             let flows = pairing_flows(&fabric, *round_gigabytes);
             let measured = (rounds - warmup_rounds) as f64;
-            run_flow_pattern(spec, &fabric, router.as_ref(), flows, measured, &exec)
+            run_flow_pattern(spec, &fabric, router.as_ref(), flows, measured, exec)
         }
         TrafficSpec::AllToAll { gigabytes } => {
             let flows = all_to_all_flows(&fabric, *gigabytes)?;
-            run_flow_pattern(spec, &fabric, router.as_ref(), flows, 1.0, &exec)
+            run_flow_pattern(spec, &fabric, router.as_ref(), flows, 1.0, exec)
         }
         TrafficSpec::RandomPermutation { gigabytes } => {
             let flows = permutation_flows(&fabric, *gigabytes, spec.seed);
-            run_flow_pattern(spec, &fabric, router.as_ref(), flows, 1.0, &exec)
+            run_flow_pattern(spec, &fabric, router.as_ref(), flows, 1.0, exec)
         }
         TrafficSpec::JobTrace {
             jobs,

@@ -4,7 +4,6 @@
 //! netpart_serve [--addr HOST:PORT] [--workers N] [--cache-capacity N]
 //!               [--solver batch|incremental] [--queue heap|calendar]
 //!               [--telemetry-ring PATH] [--telemetry-ring-capacity N]
-//!               [--telemetry-progress-every N]
 //!               [--trace-slow-ms N] [--trace-dir DIR]
 //! ```
 //!
@@ -12,17 +11,17 @@
 //! serves until a client sends `{"type":"shutdown"}`.
 //!
 //! `--solver` and `--queue` choose the max–min solver and the event-queue
-//! core of the simulations each request runs (cluster penalties, sweeps,
-//! policy replays; advice scores on batch in release builds). They travel
+//! core of the simulations each request runs (flow sets, cluster
+//! penalties, sweeps, policy replays; advice scores on batch in release
+//! builds). They travel
 //! with the request in the server's execution context rather than as
 //! process-wide defaults, and every choice answers byte-identically.
 //!
 //! With `--telemetry-ring`, every request and solver milestone — plus the
 //! causal span tree of every request — is appended to a file-backed ring
 //! that `telemetry_tail` / `telemetry_trace` (from `netpart-telemetry`) can
-//! follow or reconstruct from another process.
-//! `--telemetry-progress-every N` tunes the `EngineProgress` heartbeat
-//! cadence (rounded up to a power of two).
+//! follow or reconstruct from another process. Event loops add an
+//! `EngineProgress` heartbeat every 4096 events.
 //!
 //! `--trace-slow-ms N` (requires `--telemetry-ring`) arms the slow-request
 //! flight recorder: any request slower than N ms gets its span tree dumped
@@ -36,8 +35,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: netpart_serve [--addr HOST:PORT] [--workers N] [--cache-capacity N] \
          [--solver batch|incremental] [--queue heap|calendar] [--telemetry-ring PATH] \
-         [--telemetry-ring-capacity N] [--telemetry-progress-every N] [--trace-slow-ms N] \
-         [--trace-dir DIR]"
+         [--telemetry-ring-capacity N] [--trace-slow-ms N] [--trace-dir DIR]"
     );
     std::process::exit(2);
 }
@@ -66,9 +64,6 @@ fn main() {
             }
             "--telemetry-ring-capacity" => {
                 config.telemetry_ring_capacity = value().parse().unwrap_or_else(|_| usage());
-            }
-            "--telemetry-progress-every" => {
-                config.telemetry_progress_every = Some(value().parse().unwrap_or_else(|_| usage()));
             }
             "--trace-slow-ms" => {
                 config.trace_slow_ms = Some(value().parse().unwrap_or_else(|_| usage()));

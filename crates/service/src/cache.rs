@@ -8,7 +8,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One shard: an LRU map from canonical key to rendered response.
@@ -62,11 +61,10 @@ impl Shard {
     }
 }
 
-/// A sharded LRU cache with hit/miss counters.
+/// A sharded LRU cache. It counts nothing: the server counts its hits and
+/// misses per request kind ([`Metrics`](crate::metrics::Metrics)).
 pub struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ResponseCache {
@@ -80,8 +78,6 @@ impl ResponseCache {
             shards: (0..shards)
                 .map(|_| Mutex::new(Shard::new(per_shard)))
                 .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -91,22 +87,8 @@ impl ResponseCache {
         &self.shards[(hasher.finish() as usize) % self.shards.len()]
     }
 
-    /// Look up a canonical key, refreshing its recency. Counts a hit or a
-    /// miss.
+    /// Look up a canonical key, refreshing its recency.
     pub fn get(&self, key: &str) -> Option<Arc<String>> {
-        let found = self.shard_for(key).lock().expect("cache lock").touch(key);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Look up a canonical key without counting a hit or a miss (recency is
-    /// still refreshed). For internal reuse — e.g. a `readvise` peeking at
-    /// the cached `advise_fabric` answer it patches — where the stats should
-    /// reflect only client-visible cache traffic.
-    pub fn peek(&self, key: &str) -> Option<Arc<String>> {
         self.shard_for(key).lock().expect("cache lock").touch(key)
     }
 
@@ -117,16 +99,6 @@ impl ResponseCache {
             .lock()
             .expect("cache lock")
             .insert(key, value);
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 
     /// Live entries across all shards.
@@ -149,26 +121,6 @@ mod tests {
 
     fn arc(s: &str) -> Arc<String> {
         Arc::new(s.to_string())
-    }
-
-    #[test]
-    fn hit_and_miss_counting() {
-        let cache = ResponseCache::new(8, 2);
-        assert!(cache.get("a").is_none());
-        cache.put("a".into(), arc("va"));
-        assert_eq!(cache.get("a").as_deref().map(String::as_str), Some("va"));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-    }
-
-    #[test]
-    fn peek_finds_entries_without_counting() {
-        let cache = ResponseCache::new(8, 2);
-        assert!(cache.peek("a").is_none());
-        cache.put("a".into(), arc("va"));
-        assert_eq!(cache.peek("a").as_deref().map(String::as_str), Some("va"));
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 0);
     }
 
     #[test]
@@ -211,6 +163,5 @@ mod tests {
             }
         });
         assert!(cache.len() <= 64);
-        assert!(cache.hits() + cache.misses() == 8 * 500);
     }
 }

@@ -12,8 +12,8 @@ use crate::protocol::{
 };
 use netpart_contention::{advise_kernel, ContentionModel, Kernel, NodeModel};
 use netpart_engine::{
-    simulate_cluster_with, simulate_flows, DimensionOrdered, EngineError, Exec, Fabric, Router,
-    ShortestPath,
+    simulate_cluster_with, simulate_flows_with, DimensionOrdered, EngineError, Exec, Fabric,
+    Router, ShortestPath,
 };
 use netpart_scenario::{
     check_max_nodes, machine_by_name, run_allocation_sweep_with, run_sweep_with, MAX_FLOWS,
@@ -158,7 +158,7 @@ fn handle_bisection(topology: &str, dims: &[usize]) -> Response {
     Response::Bisection { links }
 }
 
-fn handle_simulate_flows(topology: &TopologySpec, flows: &[FlowSpec]) -> Response {
+fn handle_simulate_flows(topology: &TopologySpec, flows: &[FlowSpec], exec: Exec) -> Response {
     if flows.len() > MAX_FLOWS {
         return unsupported(format!("more than {MAX_FLOWS} flows in one request"));
     }
@@ -179,7 +179,7 @@ fn handle_simulate_flows(topology: &TopologySpec, flows: &[FlowSpec]) -> Respons
     {
         return unsupported("flow volumes must be non-negative");
     }
-    let outcome = match simulate_flows(&fabric, router.as_ref(), flows) {
+    let outcome = match simulate_flows_with(&fabric, router.as_ref(), flows, exec) {
         Ok(outcome) => outcome,
         Err(e @ EngineError::NonFiniteTime { .. }) => return unsupported(e.to_string()),
         Err(e) => return Response::error(ErrorCode::Internal, format!("simulation failed: {e}")),
@@ -367,11 +367,10 @@ pub fn handle(request: &Request) -> Response {
 }
 
 /// [`handle`] under explicit execution choices (solver mode, queue core,
-/// telemetry sink) for the simulation-backed handlers; `simulate_flows`
-/// runs on the defaults. The choices are server-side, never on the wire:
-/// responses are byte-identical under all of them (pinned by the service
-/// integration tests), so a cached response is valid whatever it was
-/// computed under.
+/// telemetry sink) for the simulation-backed handlers. The choices are
+/// server-side, never on the wire: responses are byte-identical under all
+/// of them (pinned by the service integration tests), so a cached response
+/// is valid whatever it was computed under.
 pub fn handle_with(request: &Request, exec: impl Into<Exec>) -> Response {
     let exec = exec.into();
     match request {
@@ -381,7 +380,7 @@ pub fn handle_with(request: &Request, exec: impl Into<Exec>) -> Response {
             kernel,
         } => handle_advise(machine, *size, kernel),
         Request::Bisection { topology, dims } => handle_bisection(topology, dims),
-        Request::SimulateFlows { topology, flows } => handle_simulate_flows(topology, flows),
+        Request::SimulateFlows { topology, flows } => handle_simulate_flows(topology, flows, exec),
         Request::ClusterSim {
             topology,
             jobs,

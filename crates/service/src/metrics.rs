@@ -142,16 +142,11 @@ impl Metrics {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Assemble the `Stats` payload, folding in the cache counters and the
-    /// solver's telemetry aggregates (`None` when the server runs without a
-    /// telemetry handle).
-    pub fn snapshot(
-        &self,
-        cache_hits: u64,
-        cache_misses: u64,
-        cache_entries: usize,
-        solver: Option<CounterSnapshot>,
-    ) -> StatsSnapshot {
+    /// Assemble the `Stats` payload, folding in the cache's entry count and
+    /// the solver's telemetry aggregates (`None` when the server runs
+    /// without a telemetry handle). The cache totals are the sums of the
+    /// per-kind counts.
+    pub fn snapshot(&self, cache_entries: usize, solver: Option<CounterSnapshot>) -> StatsSnapshot {
         // Sorted by kind name, matching the canonical (sorted-key) wire
         // form so a snapshot equals its own encode/decode round trip.
         let sorted_nonzero = |counters: &[AtomicU64; KINDS.len()]| -> Vec<(String, u64)> {
@@ -164,17 +159,20 @@ impl Metrics {
             pairs.sort();
             pairs
         };
+        let total = |by_kind: &[(String, u64)]| by_kind.iter().map(|(_, n)| n).sum();
         let by_kind = sorted_nonzero(&self.requests);
+        let hits_by_kind = sorted_nonzero(&self.cache_hits);
+        let misses_by_kind = sorted_nonzero(&self.cache_misses);
         let solver = solver.unwrap_or_default();
         StatsSnapshot {
             uptime_seconds: self.uptime_seconds(),
-            requests_total: by_kind.iter().map(|(_, n)| n).sum(),
+            requests_total: total(&by_kind),
             requests_by_kind: by_kind,
-            cache_hits,
-            cache_misses,
+            cache_hits: total(&hits_by_kind),
+            cache_misses: total(&misses_by_kind),
             cache_entries,
-            cache_hits_by_kind: sorted_nonzero(&self.cache_hits),
-            cache_misses_by_kind: sorted_nonzero(&self.cache_misses),
+            cache_hits_by_kind: hits_by_kind,
+            cache_misses_by_kind: misses_by_kind,
             coalesced: self.coalesced.load(Ordering::Relaxed),
             latency_p50_us: self.latency.quantile_us(0.5),
             latency_p99_us: self.latency.quantile_us(0.99),
@@ -212,12 +210,19 @@ mod tests {
         m.count_request("advise");
         m.count_request("stats");
         m.count_request("no-such-kind");
+        m.count_cache_hit("advise");
+        m.count_cache_hit("advise");
+        m.count_cache_hit("sweep");
+        m.count_cache_miss("sweep");
         m.record_latency_nanos(5_000);
-        let s = m.snapshot(3, 1, 2, None);
+        let s = m.snapshot(2, None);
         assert_eq!(s.requests_total, 4);
         assert!(s.requests_by_kind.contains(&("advise".to_string(), 2)));
         assert!(s.requests_by_kind.contains(&("invalid".to_string(), 1)));
+        // The cache totals are the per-kind counts summed.
         assert_eq!(s.cache_hits, 3);
+        assert_eq!(s.cache_misses, 1);
+        assert_eq!(s.cache_entries, 2);
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
         assert!(s.latency_p50_us > 0.0);
         assert_eq!(s.solver_repairs, 0);
@@ -231,8 +236,6 @@ mod tests {
         m.count_cache_hit("sweep");
         m.count_cache_miss("sweep");
         let s = m.snapshot(
-            3,
-            1,
             2,
             Some(CounterSnapshot {
                 solver_repairs: 7,
@@ -254,6 +257,34 @@ mod tests {
         assert_eq!(s.advice_reused_flows, 90);
         assert_eq!(s.advice_total_flows, 120);
         assert!((s.advice_reuse_rate() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn concurrent_cache_traffic_is_counted_once_per_lookup() {
+        // The request path counts each response-cache lookup once, by kind,
+        // from every worker at once; the totals lose nothing.
+        let m = Metrics::new();
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let m = &m;
+                s.spawn(move || {
+                    for i in 0..500 {
+                        let kind = KINDS[(t * 31 + i) % KINDS.len()];
+                        if i % 3 == 0 {
+                            m.count_cache_miss(kind);
+                        } else {
+                            m.count_cache_hit(kind);
+                        }
+                    }
+                });
+            }
+        });
+        let s = m.snapshot(0, None);
+        assert_eq!(s.cache_misses, 8 * 167);
+        assert_eq!(s.cache_hits + s.cache_misses, 8 * 500);
+        let summed = |by_kind: &[(String, u64)]| by_kind.iter().map(|(_, n)| n).sum::<u64>();
+        assert_eq!(summed(&s.cache_hits_by_kind), s.cache_hits);
+        assert_eq!(summed(&s.cache_misses_by_kind), s.cache_misses);
     }
 
     #[test]

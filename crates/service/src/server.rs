@@ -37,10 +37,8 @@ pub struct ServerConfig {
     /// available parallelism, floored at 4 so a couple of slow or idle
     /// connections cannot monopolize a small box).
     pub workers: usize,
-    /// Total response-cache entries.
+    /// Total response-cache entries, split evenly over the cache's shards.
     pub cache_capacity: usize,
-    /// Cache shards.
-    pub cache_shards: usize,
     /// Max–min solver mode for simulation-backed handlers. An execution
     /// knob only: responses are byte-identical across modes (pinned by the
     /// integration tests), so it never enters cache keys or the protocol.
@@ -67,10 +65,6 @@ pub struct ServerConfig {
     /// a `.traces` extension. The directory is bounded: dumps rotate
     /// through [`FLIGHT_SLOTS`] slot files.
     pub trace_dir: Option<PathBuf>,
-    /// Override of the `EngineProgress` heartbeat cadence, in simulation
-    /// events (rounded up to a power of two). `None` keeps the telemetry
-    /// default.
-    pub telemetry_progress_every: Option<u64>,
 }
 
 impl Default for ServerConfig {
@@ -82,17 +76,19 @@ impl Default for ServerConfig {
                 .unwrap_or(4)
                 .max(4),
             cache_capacity: 4096,
-            cache_shards: 16,
             solver: SolverMode::default(),
             queue: QueueKind::default(),
             telemetry_ring: None,
             telemetry_ring_capacity: DEFAULT_RING_CAPACITY,
             trace_slow_ms: None,
             trace_dir: None,
-            telemetry_progress_every: None,
         }
     }
 }
+
+/// Response-cache shards: enough that the workers' lookups rarely meet on
+/// one lock.
+const CACHE_SHARDS: usize = 16;
 
 /// How many rotating dump files the flight recorder keeps.
 pub const FLIGHT_SLOTS: u64 = 32;
@@ -157,13 +153,13 @@ impl ServiceState {
     }
 
     /// Peek the cached [`Request::AdviseFabric`] answer for `spec`, the base
-    /// a `readvise` patches instead of recomputing from scratch. Uses the
-    /// non-counting cache peek so client-visible hit/miss stats are not
-    /// skewed by internal reuse; a cached non-advice line (impossible today)
-    /// degrades to `None`, never an error.
+    /// a `readvise` patches instead of recomputing from scratch. The lookup
+    /// counts in no stats (only the request path counts cache traffic, per
+    /// kind); a cached non-advice line (impossible today) degrades to
+    /// `None`, never an error.
     pub fn peek_advice_base(&self, spec: &AdviceSpec) -> Option<AdviceResult> {
         let key = Request::AdviseFabric { spec: spec.clone() }.cache_key();
-        let line = self.cache.peek(&key)?;
+        let line = self.cache.get(&key)?;
         match Response::decode(&line) {
             Ok(Response::FabricAdvice(result)) => Some(result),
             _ => None,
@@ -253,12 +249,11 @@ fn respond(
                     .encode(),
                 ),
                 Request::Stats => Arc::new(
-                    Response::Stats(state.metrics.snapshot(
-                        state.cache.hits(),
-                        state.cache.misses(),
-                        state.cache.len(),
-                        state.exec.telemetry.counters(),
-                    ))
+                    Response::Stats(
+                        state
+                            .metrics
+                            .snapshot(state.cache.len(), state.exec.telemetry.counters()),
+                    )
                     .encode(),
                 ),
                 Request::Shutdown => {
@@ -466,9 +461,6 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         Some(path) => Telemetry::to_ring(path, config.telemetry_ring_capacity)?,
         None => Telemetry::counters_only(),
     };
-    if let Some(every) = config.telemetry_progress_every {
-        telemetry.set_progress_every(every);
-    }
     let flight = match config.trace_slow_ms {
         None => None,
         Some(threshold_ms) => {
@@ -492,7 +484,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         }
     };
     let state = Arc::new(ServiceState {
-        cache: ResponseCache::new(config.cache_capacity, config.cache_shards),
+        cache: ResponseCache::new(config.cache_capacity, CACHE_SHARDS),
         batcher: Batcher::new(),
         metrics: Metrics::new(),
         workers,

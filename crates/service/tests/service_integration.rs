@@ -410,6 +410,16 @@ fn solver_modes_serve_byte_identical_responses_from_cache_and_compute() {
             seed: 5,
             policy: PolicySpec::HintAware(0.9),
         },
+        Request::SimulateFlows {
+            topology: TopologySpec::Torus(vec![4, 4]),
+            flows: (0..16)
+                .map(|src| FlowSpec {
+                    src,
+                    dst: (src * 5 + 3) % 16,
+                    gigabytes: 0.25 * (1 + src % 3) as f64,
+                })
+                .collect(),
+        },
         Request::Sweep {
             scenarios: vec![
                 ScenarioSpec {
@@ -438,10 +448,14 @@ fn solver_modes_serve_byte_identical_responses_from_cache_and_compute() {
         // First ask computes; the replay must come from the cache.
         let computed_b = batch_client.request(request).unwrap();
         let computed_i = incremental_client.request(request).unwrap();
-        if matches!(request, Request::Sweep { .. }) {
+        if matches!(
+            request,
+            Request::SimulateFlows { .. } | Request::Sweep { .. }
+        ) {
             assert!(
                 incremental_client.stats().unwrap().solver_repairs > repairs_before,
-                "the sweep did not run on the incremental solver"
+                "{} did not run on the incremental solver",
+                request.kind()
             );
         }
         assert_eq!(

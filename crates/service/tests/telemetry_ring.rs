@@ -4,7 +4,7 @@
 //! concerned — the reader path is the same read-only mmap `telemetry_tail`
 //! uses) and check the request-lifecycle and solver events landed.
 
-use netpart_engine::SolverMode;
+use netpart_engine::{Flow, SolverMode};
 use netpart_service::client::ServiceClient;
 use netpart_service::protocol::{
     AdviceSpec, AllocationSpec, Request, Response, RoutingSpec, ScenarioSpec, TopologySpec,
@@ -159,8 +159,56 @@ fn advice_spec() -> AdviceSpec {
     }
 }
 
+/// Labels of the span `id` and every span below it.
+fn subtree_labels(forest: &TraceForest, id: u64) -> std::collections::BTreeSet<String> {
+    let mut labels = std::collections::BTreeSet::new();
+    let mut stack = vec![id];
+    while let Some(id) = stack.pop() {
+        let node = forest.span(id).unwrap();
+        labels.insert(node.label.as_str().to_string());
+        stack.extend(&node.children);
+    }
+    labels
+}
+
 #[test]
-fn advise_fabric_request_reconstructs_to_a_covering_span_tree() {
+fn compute_requests_reconstruct_to_covering_span_trees() {
+    // One computing request per row, each with the spans its computation
+    // must record under `compute`.
+    let table: [(Request, &str, &[&str]); 2] = [
+        (
+            Request::AdviseFabric {
+                spec: advice_spec(),
+            },
+            "advise_fabric",
+            &[
+                "generate_cands",
+                "score_cands",
+                "route",
+                // The sharded sweep: each shard's first candidate, then the
+                // rest, each simulated by a reused FluidSim whose spans nest
+                // under them.
+                "cand_full",
+                "cand_delta",
+                "csr_build",
+                "fluid_solve",
+            ],
+        ),
+        (
+            Request::SimulateFlows {
+                topology: TopologySpec::Torus(vec![4, 4]),
+                flows: (0..16)
+                    .map(|src| Flow {
+                        src,
+                        dst: (src * 5 + 3) % 16,
+                        gigabytes: 0.25 * (1 + src % 3) as f64,
+                    })
+                    .collect(),
+            },
+            "simulate_flows",
+            &["route", "csr_build", "fluid_solve"],
+        ),
+    ];
     let ring_path =
         std::env::temp_dir().join(format!("netpart_service_spans_{}.ring", std::process::id()));
     let _ = std::fs::remove_file(&ring_path);
@@ -174,16 +222,10 @@ fn advise_fabric_request_reconstructs_to_a_covering_span_tree() {
     })
     .expect("bind ephemeral port with telemetry ring");
     let mut client = ServiceClient::connect(handle.local_addr()).unwrap();
-
-    let response = client
-        .request(&Request::AdviseFabric {
-            spec: advice_spec(),
-        })
-        .unwrap();
-    assert!(
-        matches!(response, Response::FabricAdvice(_)),
-        "{response:?}"
-    );
+    for (request, _, _) in &table {
+        let response = client.request(request).unwrap();
+        assert!(!matches!(response, Response::Error { .. }), "{response:?}");
+    }
     client.shutdown().unwrap();
     handle.join();
 
@@ -191,59 +233,57 @@ fn advise_fabric_request_reconstructs_to_a_covering_span_tree() {
     let records = snapshot(&reader);
     let forest = TraceForest::from_records(&records);
 
-    let request = forest
-        .requests()
-        .iter()
-        .find(|r| {
-            matches!(
-                r.event,
-                TelemetryEvent::RequestDone { kind, trace_id, .. }
-                    if kind.as_str() == "advise_fabric" && trace_id != 0
-            )
-        })
-        .copied()
-        .expect("an advise_fabric RequestDone with a trace id");
-    let TelemetryEvent::RequestDone { trace_id, .. } = request.event else {
-        unreachable!()
-    };
+    for (_, kind, computed) in &table {
+        let request = forest
+            .requests()
+            .iter()
+            .find(|r| {
+                matches!(
+                    r.event,
+                    TelemetryEvent::RequestDone { kind: k, trace_id, .. }
+                        if k.as_str() == *kind && trace_id != 0
+                )
+            })
+            .copied()
+            .unwrap_or_else(|| panic!("a {kind} RequestDone with a trace id"));
+        let TelemetryEvent::RequestDone { trace_id, .. } = request.event else {
+            unreachable!()
+        };
 
-    // The issue's acceptance bar: the reconstructed span tree accounts for
-    // at least 95% of the latency the service itself reported.
-    let coverage = forest.coverage(&request).expect("closed root span");
-    assert!(coverage >= 0.95, "span tree covers {coverage:.3} < 0.95");
-
-    // The root is the request span; the phases hang off it.
-    let roots = forest.trace_roots(trace_id);
-    assert_eq!(roots.len(), 1, "one root span per request, got {roots:?}");
-    let root = forest.span(roots[0]).unwrap();
-    assert_eq!(root.label.as_str(), "request");
-    let mut labels = std::collections::BTreeSet::new();
-    let mut stack = vec![roots[0]];
-    while let Some(id) = stack.pop() {
-        let node = forest.span(id).unwrap();
-        labels.insert(node.label.as_str().to_string());
-        stack.extend(&node.children);
-    }
-    for expected in [
-        "request",
-        "parse",
-        "cache_lookup",
-        "compute",
-        "respond",
-        "generate_cands",
-        "score_cands",
-        "route",
-        // The sharded sweep: each shard's first candidate, then the rest,
-        // each simulated by a reused FluidSim whose spans nest under them.
-        "cand_full",
-        "cand_delta",
-        "csr_build",
-        "fluid_solve",
-    ] {
+        // The reconstructed span tree accounts for at least 95% of the
+        // latency the service itself reported.
+        let coverage = forest.coverage(&request).expect("closed root span");
         assert!(
-            labels.contains(expected),
-            "no '{expected}' span in {labels:?}"
+            coverage >= 0.95,
+            "{kind}: span tree covers {coverage:.3} < 0.95"
         );
+
+        // The root is the request span; the phases hang off it, and the
+        // computation's spans hang off `compute`.
+        let roots = forest.trace_roots(trace_id);
+        assert_eq!(roots.len(), 1, "{kind}: one root span, got {roots:?}");
+        let root = forest.span(roots[0]).unwrap();
+        assert_eq!(root.label.as_str(), "request");
+        let phases = subtree_labels(&forest, roots[0]);
+        for expected in ["request", "parse", "cache_lookup", "compute", "respond"] {
+            assert!(
+                phases.contains(expected),
+                "{kind}: no '{expected}' span in {phases:?}"
+            );
+        }
+        let compute = root
+            .children
+            .iter()
+            .copied()
+            .find(|&id| forest.span(id).unwrap().label.as_str() == "compute")
+            .expect("a compute span under the request");
+        let labels = subtree_labels(&forest, compute);
+        for expected in *computed {
+            assert!(
+                labels.contains(*expected),
+                "{kind}: no '{expected}' span under compute in {labels:?}"
+            );
+        }
     }
 
     let _ = std::fs::remove_file(&ring_path);

@@ -54,8 +54,8 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// 64 Ki slots × 64 B = a 4 MiB file holding the last 65 536 events.
 pub const DEFAULT_RING_CAPACITY: u64 = 64 * 1024;
 
-/// Default `EngineProgress` cadence: one heartbeat per this many simulation
-/// events. Power of two so the engine's cadence check stays a mask.
+/// `EngineProgress` cadence: one heartbeat per this many simulation events.
+/// Power of two so the engine's cadence check stays a mask.
 pub const DEFAULT_PROGRESS_EVERY: u64 = 4096;
 
 /// Span ids, unique within (and with high probability across) writer
@@ -108,7 +108,6 @@ struct Inner {
     ring: Option<RingWriter>,
     epoch: Instant,
     counters: SolverCounters,
-    progress_every: AtomicU64,
 }
 
 impl Inner {
@@ -117,7 +116,6 @@ impl Inner {
             ring,
             epoch: Instant::now(),
             counters: SolverCounters::default(),
-            progress_every: AtomicU64::new(DEFAULT_PROGRESS_EVERY),
         }
     }
 }
@@ -343,23 +341,6 @@ impl Telemetry {
             }
             .encode(end),
         );
-    }
-
-    /// Current `EngineProgress` cadence (events per heartbeat). Always a
-    /// power of two; [`DEFAULT_PROGRESS_EVERY`] for a disabled handle.
-    pub fn progress_every(&self) -> u64 {
-        self.inner.as_ref().map_or(DEFAULT_PROGRESS_EVERY, |i| {
-            i.progress_every.load(Ordering::Relaxed)
-        })
-    }
-
-    /// Set the `EngineProgress` cadence, rounded up to the next power of two
-    /// (minimum 1) so the engine's cadence check stays a single mask. A no-op
-    /// on a disabled handle. Shared by all clones of this handle.
-    pub fn set_progress_every(&self, every: u64) {
-        let Some(inner) = &self.inner else { return };
-        let rounded = every.max(1).next_power_of_two();
-        inner.progress_every.store(rounded, Ordering::Relaxed);
     }
 }
 
@@ -646,20 +627,5 @@ mod tests {
         assert_eq!(end_id, span_id);
         assert_eq!(u64::from(dur_micros), t_end - t_begin);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn progress_cadence_is_shared_and_rounded_to_a_power_of_two() {
-        let t = Telemetry::counters_only();
-        assert_eq!(t.progress_every(), DEFAULT_PROGRESS_EVERY);
-        let clone = t.clone();
-        t.set_progress_every(1000);
-        assert_eq!(clone.progress_every(), 1024);
-        t.set_progress_every(0);
-        assert_eq!(clone.progress_every(), 1);
-        // Disabled handles report the default and ignore the setter.
-        let disabled = Telemetry::disabled();
-        disabled.set_progress_every(8);
-        assert_eq!(disabled.progress_every(), DEFAULT_PROGRESS_EVERY);
     }
 }
