@@ -14,9 +14,15 @@
 //! random partner groups) and a documented lower-bound-preserving relaxation
 //! for the rest: at the bisection it reduces to the familiar `W · P / 4`
 //! words crossing `cut(P/2)` links.
+//!
+//! `cut(t)` is the smallest cuboid cut of volume `t` (the edge-isoperimetric
+//! analysis of Section 3). One lattice pass
+//! ([`netpart_iso::cuboid::min_cut_profile`]) yields it for every `t ≤ P/2`
+//! at once, in `O(P·D)` time for a `D`-dimensional partition of `P` nodes,
+//! and the bound walks that profile in ascending `t`.
 
 use crate::kernels::Kernel;
-use netpart_iso::cuboid::min_cut_cuboid;
+use netpart_iso::cuboid::min_cut_profile;
 
 /// Bytes per word used to convert word counts into seconds (double precision).
 pub const BYTES_PER_WORD: f64 = 8.0;
@@ -56,27 +62,14 @@ impl ContentionModel {
         }
     }
 
-    /// All distinct cuboid volumes `1 ≤ t ≤ P/2` achievable inside `node_dims`.
-    fn candidate_scales(node_dims: &[usize]) -> Vec<u64> {
-        let total: u64 = node_dims.iter().map(|&a| a as u64).product();
-        let mut volumes = vec![1u64];
-        for &a in node_dims {
-            let mut next = Vec::new();
-            for d in 1..=a as u64 {
-                for &v in &volumes {
-                    next.push(v * d);
-                }
-            }
-            next.sort_unstable();
-            next.dedup();
-            volumes = next;
-        }
-        volumes.retain(|&v| v >= 1 && v <= total / 2);
-        volumes
-    }
-
     /// Compute the contention lower bound of this kernel on a partition whose
     /// node-level torus dimensions are `node_dims`, with one rank per node.
+    ///
+    /// The bound is the largest `Q(t) / cut(t)` over the achievable cuboid
+    /// volumes `t ≤ P/2`, visited in ascending order so the smallest maximising
+    /// scale wins ties. The cuts come from one pass over the extent lattice
+    /// ([`min_cut_profile`]): `O(P·D)` time and `O(P)` memory for `P` nodes in
+    /// `D` dimensions.
     ///
     /// # Panics
     /// Panics if the partition has fewer than 2 nodes.
@@ -94,13 +87,12 @@ impl ContentionModel {
             cut_links: 0,
             attained_at_bisection: true,
         };
-        for t in Self::candidate_scales(node_dims) {
-            let Some((_, cut)) = min_cut_cuboid(node_dims, t) else {
-                continue;
-            };
+        for (t, &cut) in min_cut_profile(node_dims).iter().enumerate() {
+            // 0 marks a volume no cuboid realises.
             if cut == 0 {
                 continue;
             }
+            let t = t as u64;
             // Uniform-spread crossing volume Q(t) = W · t · (P - t) / P.
             let crossing = words * t as f64 * (p - t) as f64 / p as f64;
             let per_link = crossing / cut as f64;

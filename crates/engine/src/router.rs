@@ -15,6 +15,7 @@
 //!   one breadth-first search per distinct destination.
 //! * [`Valiant`] — two-phase randomized routing (src → pseudo-random
 //!   intermediate → dst) for adversarial patterns on low-diameter networks.
+//!   A flow list routes as two grouped minimal routings, one per leg.
 //!
 //! All routers are pure: equal inputs give equal paths, so simulations are
 //! reproducible.
@@ -35,7 +36,8 @@ const MAX_INLINE_DIMS: usize = 16;
 /// or as its own vector ([`Router::route`]), or a whole flow list into CSR
 /// buffers ([`Router::route_flows_into`]); all three give the same path for
 /// a pair. The flow-list form is where a router shares work across flows:
-/// the minimal routers search each distinct destination once.
+/// the minimal routers search each distinct destination once, and so does
+/// each of Valiant's two legs.
 pub trait Router {
     /// Append the channel path from `src` to `dst` onto `out` (nothing when
     /// `src == dst`), without a per-flow allocation: this is what keeps
@@ -67,7 +69,8 @@ pub trait Router {
     /// `data[offsets[i]..offsets[i + 1]]`, each path identical to
     /// [`Router::route`]'s. The default routes flow by flow with
     /// [`Router::route_into`]; [`ShortestPath`] and [`Ecmp`] override it to
-    /// search each distinct destination once. On error the buffers hold a
+    /// search each distinct destination once, and [`Valiant`] to search each
+    /// distinct intermediate and destination once. On error the buffers hold a
     /// partial build, and the error is the flow-by-flow loop's: that of the
     /// first failing flow.
     fn route_flows_into(
@@ -235,7 +238,7 @@ impl Router for ShortestPath {
         offsets: &mut Vec<usize>,
         data: &mut Vec<ChannelId>,
     ) -> Result<(), EngineError> {
-        minimal_route_flows(fabric, flows, |_, _| |_, _| 0, offsets, data)
+        route_flows_minimally(fabric, flows, |_, _| |_, _| 0, offsets, data)
     }
 
     fn label(&self) -> String {
@@ -271,7 +274,7 @@ impl Router for Ecmp {
         offsets: &mut Vec<usize>,
         data: &mut Vec<ChannelId>,
     ) -> Result<(), EngineError> {
-        minimal_route_flows(fabric, flows, |src, dst| self.pick(src, dst), offsets, data)
+        route_flows_minimally(fabric, flows, |src, dst| self.pick(src, dst), offsets, data)
     }
 
     fn label(&self) -> String {
@@ -310,14 +313,70 @@ impl Router for Valiant {
         if src == dst {
             return Ok(());
         }
-        let n = fabric.num_nodes() as u64;
-        let w = (splitmix64(self.seed ^ ((src as u64) << 32) ^ dst as u64) % n) as usize;
+        let w = self.intermediate(fabric, src, dst);
         minimal_route_into(fabric, src, w, |_, _| 0, out)?;
         minimal_route_into(fabric, w, dst, |_, _| 0, out)
     }
 
+    /// Both legs of every flow as two grouped minimal routings: leg 1
+    /// (`src -> w`) searches each distinct intermediate once, leg 2
+    /// (`w -> dst`) each distinct destination once, and each flow's path is
+    /// its leg 1 followed by its leg 2. The error is the per-flow loop's:
+    /// that of the first flow that fails, on its first failing leg.
+    fn route_flows_into(
+        &self,
+        fabric: &Fabric,
+        flows: &[Flow],
+        offsets: &mut Vec<usize>,
+        data: &mut Vec<ChannelId>,
+    ) -> Result<(), EngineError> {
+        offsets.clear();
+        data.clear();
+        let (routable, range) = in_range_prefix(fabric, flows);
+        // A self-flow's legs are self-pairs, whose paths are empty.
+        let (to_w, from_w): (Vec<Flow>, Vec<Flow>) = routable
+            .iter()
+            .map(|&f| {
+                if f.src == f.dst {
+                    return (f, f);
+                }
+                let w = self.intermediate(fabric, f.src, f.dst);
+                (Flow { dst: w, ..f }, Flow { src: w, ..f })
+            })
+            .unzip();
+        let shortest = |_, _| |_, _| 0;
+        let (mut offsets_1, mut data_1) = (Vec::new(), Vec::new());
+        let failed_1 = minimal_route_flows(fabric, &to_w, shortest, &mut offsets_1, &mut data_1);
+        let (mut offsets_2, mut data_2) = (Vec::new(), Vec::new());
+        let failed_2 = minimal_route_flows(fabric, &from_w, shortest, &mut offsets_2, &mut data_2);
+        match (failed_1, failed_2) {
+            (Err(i), Err(j)) if j < i => return Err(unreachable(&from_w[j])),
+            (Err(i), _) => return Err(unreachable(&to_w[i])),
+            (Ok(()), Err(j)) => return Err(unreachable(&from_w[j])),
+            (Ok(()), Ok(())) => {}
+        }
+        range?;
+        offsets.reserve(flows.len() + 1);
+        offsets.push(0);
+        data.reserve(data_1.len() + data_2.len());
+        for (leg_1, leg_2) in offsets_1.windows(2).zip(offsets_2.windows(2)) {
+            data.extend_from_slice(&data_1[leg_1[0]..leg_1[1]]);
+            data.extend_from_slice(&data_2[leg_2[0]..leg_2[1]]);
+            offsets.push(data.len());
+        }
+        Ok(())
+    }
+
     fn label(&self) -> String {
         format!("valiant(seed={})", self.seed)
+    }
+}
+
+impl Valiant {
+    /// The pseudo-random intermediate node of the flow `src -> dst`.
+    fn intermediate(&self, fabric: &Fabric, src: usize, dst: usize) -> usize {
+        let n = fabric.num_nodes() as u64;
+        (splitmix64(self.seed ^ ((src as u64) << 32) ^ dst as u64) % n) as usize
     }
 }
 
@@ -345,45 +404,80 @@ fn minimal_route_into(
     Ok(())
 }
 
-/// Route `flows` minimally into CSR buffers (see
-/// [`Router::route_flows_into`]) with one [`Fabric::distances_to`] search
-/// per distinct destination. `pick_for(src, dst)` gives a flow's hop choice
-/// as [`minimal_route_into`] takes it, so every path equals the single-pair
-/// route.
-///
-/// Flows are walked grouped by destination (flow order within a group) and
-/// written back in flow order. The error is the flow-by-flow loop's: flows
-/// after the first one naming an out-of-range node are not routed, and that
-/// node's error is returned unless an earlier flow is unreachable.
-fn minimal_route_flows<P: Fn(usize, usize) -> usize>(
+/// The flows before the first one naming an out-of-range node, and that
+/// node's error (`Ok` when every node is in range).
+fn in_range_prefix<'a>(
+    fabric: &Fabric,
+    flows: &'a [Flow],
+) -> (&'a [Flow], Result<(), EngineError>) {
+    for (i, f) in flows.iter().enumerate() {
+        if let Err(e) = fabric
+            .check_node(f.src)
+            .and_then(|()| fabric.check_node(f.dst))
+        {
+            return (&flows[..i], Err(e));
+        }
+    }
+    (flows, Ok(()))
+}
+
+/// The error of a flow whose destination its source cannot reach.
+fn unreachable(f: &Flow) -> EngineError {
+    EngineError::Unreachable {
+        src: f.src,
+        dst: f.dst,
+    }
+}
+
+/// [`Router::route_flows_into`] for the minimal routers: the flows before
+/// the first out-of-range node go through [`minimal_route_flows`], and the
+/// error is the flow-by-flow loop's (an unreachable flow ahead of that node
+/// reports first).
+fn route_flows_minimally<P: Fn(usize, usize) -> usize>(
     fabric: &Fabric,
     flows: &[Flow],
     pick_for: impl Fn(usize, usize) -> P,
     offsets: &mut Vec<usize>,
     data: &mut Vec<ChannelId>,
 ) -> Result<(), EngineError> {
+    let (routable, range) = in_range_prefix(fabric, flows);
+    minimal_route_flows(fabric, routable, pick_for, offsets, data)
+        .map_err(|i| unreachable(&routable[i]))?;
+    range
+}
+
+/// Route `flows`, whose nodes must all be in range, minimally into CSR
+/// buffers (as [`Router::route_flows_into`] lays them out) with one
+/// [`Fabric::distances_to`] search per distinct destination.
+/// `pick_for(src, dst)` gives a flow's hop choice as [`minimal_route_into`]
+/// takes it, so every path equals the single-pair route.
+///
+/// Flows are walked grouped by destination (flow order within a group) and
+/// written back in flow order. On failure the buffers are left empty and
+/// the error is the index of the first flow whose destination is
+/// unreachable from its source.
+fn minimal_route_flows<P: Fn(usize, usize) -> usize>(
+    fabric: &Fabric,
+    flows: &[Flow],
+    pick_for: impl Fn(usize, usize) -> P,
+    offsets: &mut Vec<usize>,
+    data: &mut Vec<ChannelId>,
+) -> Result<(), usize> {
     offsets.clear();
     data.clear();
-    let in_range = |f: &Flow| {
-        fabric
-            .check_node(f.src)
-            .and_then(|()| fabric.check_node(f.dst))
-    };
-    let range_error = flows.iter().map(in_range).position(|r| r.is_err());
-    let routable = &flows[..range_error.unwrap_or(flows.len())];
     // Self-flows have empty paths and need no search.
-    let mut order: Vec<usize> = (0..routable.len())
-        .filter(|&i| routable[i].src != routable[i].dst)
+    let mut order: Vec<usize> = (0..flows.len())
+        .filter(|&i| flows[i].src != flows[i].dst)
         .collect();
-    order.sort_by_key(|&i| routable[i].dst);
+    order.sort_by_key(|&i| flows[i].dst);
     let mut walks = Vec::new();
-    let mut spans = vec![(0, 0); routable.len()];
+    let mut spans = vec![(0, 0); flows.len()];
     let mut unreachable: Option<usize> = None;
-    for group in order.chunk_by(|&a, &b| routable[a].dst == routable[b].dst) {
-        let dst = routable[group[0]].dst;
+    for group in order.chunk_by(|&a, &b| flows[a].dst == flows[b].dst) {
+        let dst = flows[group[0]].dst;
         let dist = fabric.distances_to(dst);
         for &i in group {
-            let src = routable[i].src;
+            let src = flows[i].src;
             if dist[src] == usize::MAX {
                 unreachable = Some(unreachable.map_or(i, |u| u.min(i)));
                 continue;
@@ -394,11 +488,7 @@ fn minimal_route_flows<P: Fn(usize, usize) -> usize>(
         }
     }
     if let Some(i) = unreachable {
-        let Flow { src, dst, .. } = routable[i];
-        return Err(EngineError::Unreachable { src, dst });
-    }
-    if let Some(i) = range_error {
-        return in_range(&flows[i]);
+        return Err(i);
     }
     offsets.reserve(flows.len() + 1);
     offsets.push(0);

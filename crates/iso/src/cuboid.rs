@@ -8,6 +8,14 @@
 //! construction, a complete enumeration of cuboid shapes of a given volume,
 //! and the resulting minimal-cut cuboid search used throughout the partition
 //! analysis.
+//!
+//! A question about *every* volume at once — the contention bound maximises
+//! over all scales `t ≤ P/2` — is answered by [`min_cut_profile`] instead: one
+//! odometer pass over the extent lattice `[1..a_1] × … × [1..a_D]` that
+//! records each volume's smallest cut in a dense array. It visits each
+//! extent tuple of volume at most `P/2` once with `O(D)` work, so it costs
+//! `O(P·D)` time and `O(P)` memory, against one divisor enumeration (and one
+//! `Vec` per extent) per volume for repeated [`min_cut_cuboid`] calls.
 
 use netpart_topology::Torus;
 
@@ -89,6 +97,59 @@ pub fn min_cut_cuboid(dims: &[usize], t: u64) -> Option<(Vec<usize>, u64)> {
             (extent, cut)
         })
         .min_by_key(|&(_, cut)| cut)
+}
+
+/// The smallest cuboid cut of every volume up to half the torus.
+///
+/// Entry `t` of the returned array (length `P/2 + 1`, `P` the torus volume)
+/// is the cut [`min_cut_cuboid`]`(dims, t)` finds, or 0 when no cuboid of
+/// volume `t` fits; entry 0 is always 0. A cuboid of at most half the torus
+/// leaves some dimension longer than 1 uncovered, so its cut is positive and
+/// 0 marks exactly the unachievable volumes.
+///
+/// One odometer pass over the extent lattice, first dimension fastest,
+/// allocating nothing but the array and one extent buffer. A cuboid's cut
+/// is [`Torus::cuboid_cut_size`]'s: `2·vol/e_i` for each dimension with
+/// `a_i > 1` that the extent `e_i < a_i` leaves uncovered. The pass never
+/// steps past volume `P/2`: when raising a digit (all lower digits at 1)
+/// would, every larger value of that digit would too, so it carries.
+pub fn min_cut_profile(dims: &[usize]) -> Vec<u64> {
+    assert!(!dims.is_empty() && dims.iter().all(|&a| a >= 1));
+    let half = dims.iter().map(|&a| a as u64).product::<u64>() / 2;
+    let mut cuts = vec![0u64; half as usize + 1];
+    if half == 0 {
+        return cuts;
+    }
+    let mut extent = vec![1u64; dims.len()];
+    let mut volume = 1u64;
+    loop {
+        let cut: u64 = extent
+            .iter()
+            .zip(dims)
+            .filter(|&(&e, &a)| a > 1 && e < a as u64)
+            .map(|(&e, _)| 2 * (volume / e))
+            .sum();
+        let best = &mut cuts[volume as usize];
+        if *best == 0 || cut < *best {
+            *best = cut;
+        }
+        let mut digit = 0;
+        loop {
+            let Some(&a) = dims.get(digit) else {
+                return cuts;
+            };
+            let e = extent[digit];
+            let raised = volume / e * (e + 1);
+            if e < a as u64 && raised <= half {
+                extent[digit] = e + 1;
+                volume = raised;
+                break;
+            }
+            extent[digit] = 1;
+            volume /= e;
+            digit += 1;
+        }
+    }
 }
 
 /// The cuboid of volume `t` with the *maximal* cut (worst case); useful for
@@ -220,5 +281,32 @@ mod tests {
     #[test]
     fn impossible_volume_returns_none() {
         assert!(min_cut_cuboid(&[4, 4], 13).is_none());
+    }
+
+    #[test]
+    fn min_cut_profile_matches_the_per_volume_search() {
+        for dims in [
+            vec![2],
+            vec![7],
+            vec![4, 4],
+            vec![5, 3],
+            vec![1, 6, 1],
+            vec![6, 4, 2],
+            vec![3, 3, 3, 2],
+            vec![4, 3, 2, 1, 2],
+        ] {
+            let total: u64 = dims.iter().map(|&a| a as u64).product();
+            let profile = min_cut_profile(&dims);
+            assert_eq!(profile.len() as u64, total / 2 + 1, "{dims:?}");
+            assert_eq!(profile[0], 0);
+            for t in 1..=total / 2 {
+                let expected = min_cut_cuboid(&dims, t).map_or(0, |(_, cut)| cut);
+                assert_eq!(profile[t as usize], expected, "{dims:?}, t = {t}");
+            }
+        }
+        // 13 is a prime above every extent: no cuboid has that volume.
+        assert_eq!(min_cut_profile(&[4, 8])[13], 0);
+        assert_eq!(min_cut_profile(&[4, 8])[16], 8);
+        assert_eq!(min_cut_profile(&[1, 1]), vec![0]);
     }
 }

@@ -7,8 +7,9 @@
 //!   and the paper's generalization to tori with arbitrary dimension lengths
 //!   (Theorem 3.1).
 //! * [`cuboid`] — explicit optimal cuboid constructions `S_r` (Lemma 3.2),
-//!   enumeration of all cuboid shapes of a given volume and the minimal-cut
-//!   cuboid search used by Lemma 3.3.
+//!   enumeration of all cuboid shapes of a given volume, the minimal-cut
+//!   cuboid search used by Lemma 3.3, and the minimal-cut profile of every
+//!   volume up to half the torus in one lattice pass.
 //! * [`bisection`] — bisection bandwidth of tori and of Blue Gene/Q style
 //!   networks (the `2·N/L` formula), plus exhaustive bisection for small
 //!   graphs.

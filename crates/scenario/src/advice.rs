@@ -858,9 +858,10 @@ fn advise_on_fabric(
 /// candidates are re-scored as [`run_advice`] scores them. Bounds are
 /// recomputed for every candidate (escape cuts can cross channels a
 /// candidate's own flows never touch). With `base` absent — or computed for
-/// a different question — the sweep is simply recomputed on the patched
-/// fabric. Either way the result is bit-identical to [`run_advice`] against
-/// the patched fabric, pinned by `tests/advice_delta_parity.rs`.
+/// a different question: another label, size, fabric or volume — the sweep
+/// is simply recomputed on the patched fabric. Either way the result is
+/// bit-identical to [`run_advice`] against the patched fabric, pinned by
+/// `tests/advice_delta_parity.rs`.
 pub fn run_readvise(
     spec: &AdviceSpec,
     patch: &FabricPatch,
@@ -881,10 +882,37 @@ pub fn run_readvise_with(
     let (patched, changed) = fabric.patched(patch)?;
     // A base computed for a different question (or none at all) has nothing
     // to carry over.
-    let base = base
-        .filter(|b| b.label == spec.label() && b.nodes == spec.nodes && b.fabric == patched.name());
+    let base = base.filter(|b| {
+        b.label == spec.label()
+            && b.nodes == spec.nodes
+            && b.fabric == patched.name()
+            && has_spec_volume(spec, &fabric, b)
+    });
     let carry = base.map(|base| (base, changed.as_slice()));
     advise_on_fabric(spec, &patched, &exec.into(), carry)
+}
+
+/// Whether `base` answers `spec`'s exchange volume. The label omits
+/// `gigabytes`, but every bound is proportional to it, so the first base
+/// candidate with a non-zero bound must get the same bound, bit for bit,
+/// under `spec`'s exchange model on the unpatched `fabric`. A base with no
+/// non-zero bound (or a candidate this fabric cannot hold) shows no volume
+/// and carries nothing.
+fn has_spec_volume(spec: &AdviceSpec, fabric: &Fabric, base: &AdviceResult) -> bool {
+    let Some(probe) = base.candidates.iter().find(|c| c.bound_seconds > 0.0) else {
+        return false;
+    };
+    let nodes = &probe.nodes;
+    let mut seen = vec![false; fabric.num_nodes()];
+    let distinct = nodes
+        .iter()
+        .all(|&v| v < seen.len() && !std::mem::replace(&mut seen[v], true));
+    if nodes.len() < 2 || !distinct {
+        return false;
+    }
+    let orders = SweepOrders::new(fabric, nodes);
+    let bound = exchange_model(spec).fabric_bound_with(fabric, nodes, &orders);
+    bound.seconds.to_bits() == probe.bound_seconds.to_bits()
 }
 
 /// Run a batch of advice specs in parallel (rayon), preserving input order.
@@ -1195,6 +1223,45 @@ mod tests {
         let fresh = run_readvise(&spec, &patch, None).unwrap();
         let with_foreign_base = run_readvise(&spec, &patch, Some(&other)).unwrap();
         assert_eq!(fresh, with_foreign_base);
+    }
+
+    #[test]
+    fn readvise_ignores_a_base_at_a_different_volume() {
+        use netpart_engine::LinkPatch;
+        // The label omits the volume, so only the bound check tells a
+        // 0.25 GB base from the 1 GB question.
+        let spec = AdviceSpec {
+            topology: TopologySpec::Torus(vec![4, 4]),
+            routing: RoutingSpec::DimensionOrdered,
+            nodes: 4,
+            gigabytes: 1.0,
+            candidates: vec![AllocationSpec::TorusBlocks, AllocationSpec::Blocked],
+            seed: 0,
+        };
+        let quarter = run_advice(&AdviceSpec {
+            gigabytes: 0.25,
+            ..spec.clone()
+        })
+        .unwrap();
+        assert_eq!(quarter.label, spec.label());
+        let patch = FabricPatch {
+            links: vec![LinkPatch {
+                a: 0,
+                b: 1,
+                scale: 0.5,
+            }],
+            nodes: vec![],
+        };
+        let fresh = run_readvise(&spec, &patch, None).unwrap();
+        assert_eq!(run_readvise(&spec, &patch, Some(&quarter)).unwrap(), fresh);
+        // A base at the asked volume still carries.
+        let base = run_advice(&spec).unwrap();
+        assert!(has_spec_volume(
+            &spec,
+            &build_fabric(&spec.topology).unwrap(),
+            &base
+        ));
+        assert_eq!(run_readvise(&spec, &patch, Some(&base)).unwrap(), fresh);
     }
 
     #[test]

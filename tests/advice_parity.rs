@@ -17,9 +17,15 @@
 //! * Bound and simulation must agree on the ordering of the torus reference
 //!   geometry pairs (the paper's worst-vs-best question, node-granularity
 //!   scaled).
+//! * The closed form's one-pass min-cut profile must reproduce the per-scale
+//!   cuboid search it replaced bit for bit: that search is kept below as the
+//!   reference model, on random tori and on every Blue Gene/Q partition
+//!   geometry the paper's machines admit.
 
-use netpart::contention::{ContentionModel, Kernel};
+use netpart::contention::{ContentionBound, ContentionModel, Kernel, BYTES_PER_WORD};
 use netpart::engine::{Exec, Fabric, SolverMode};
+use netpart::iso::cuboid::min_cut_cuboid;
+use netpart::machines::known::all_machines;
 use netpart::scenario::{
     run_advice, AdviceSpec, AllocationSpec, RoutingSpec as ScenarioRouting, TopologySpec,
 };
@@ -49,6 +55,134 @@ fn kernel_strategy() -> BoxedStrategy<Kernel> {
         }),
     ]
     .boxed()
+}
+
+/// The per-scale search the closed form used before the lattice pass: every
+/// distinct cuboid volume `1 ≤ t ≤ P/2` achievable inside `dims`, ascending,
+/// each with its [`min_cut_cuboid`] cut.
+fn per_scale_cuts(dims: &[usize]) -> Vec<(u64, u64)> {
+    let total: u64 = dims.iter().map(|&a| a as u64).product();
+    let mut volumes = vec![1u64];
+    for &a in dims {
+        let mut next = Vec::new();
+        for d in 1..=a as u64 {
+            for &v in &volumes {
+                next.push(v * d);
+            }
+        }
+        next.sort_unstable();
+        next.dedup();
+        volumes = next;
+    }
+    volumes.retain(|&v| v >= 1 && v <= total / 2);
+    volumes
+        .into_iter()
+        .filter_map(|t| min_cut_cuboid(dims, t).map(|(_, cut)| (t, cut)))
+        .collect()
+}
+
+/// The reference bound over `per_scale_cuts(dims)`, with the closed form's
+/// arithmetic and its strict `>`.
+fn reference_bound(
+    model: &ContentionModel,
+    dims: &[usize],
+    cuts: &[(u64, u64)],
+) -> ContentionBound {
+    let p: u64 = dims.iter().map(|&a| a as u64).product();
+    let words = model.kernel.words_per_proc(p);
+    let mut best = ContentionBound {
+        words_on_busiest_link: 0.0,
+        seconds: 0.0,
+        critical_scale: p / 2,
+        cut_links: 0,
+        attained_at_bisection: true,
+    };
+    for &(t, cut) in cuts {
+        if cut == 0 {
+            continue;
+        }
+        let crossing = words * t as f64 * (p - t) as f64 / p as f64;
+        let per_link = crossing / cut as f64;
+        if per_link > best.words_on_busiest_link {
+            best.words_on_busiest_link = per_link;
+            best.critical_scale = t;
+            best.cut_links = cut;
+            best.attained_at_bisection = t == p / 2;
+        }
+    }
+    best.seconds = best.words_on_busiest_link * BYTES_PER_WORD / (model.link_bandwidth_gbs * 1e9);
+    best
+}
+
+/// Every field of two bounds, floats by their bits.
+fn assert_same_bound(dims: &[usize], got: &ContentionBound, want: &ContentionBound) {
+    assert_eq!(
+        got.words_on_busiest_link.to_bits(),
+        want.words_on_busiest_link.to_bits(),
+        "{dims:?}: words {} vs {}",
+        got.words_on_busiest_link,
+        want.words_on_busiest_link
+    );
+    assert_eq!(got.seconds.to_bits(), want.seconds.to_bits(), "{dims:?}");
+    assert_eq!(got.critical_scale, want.critical_scale, "{dims:?}");
+    assert_eq!(got.cut_links, want.cut_links, "{dims:?}");
+    assert_eq!(
+        got.attained_at_bisection, want.attained_at_bisection,
+        "{dims:?}"
+    );
+}
+
+/// Every node-level geometry of every partition size of the five machines,
+/// under several kernels, against the per-scale reference.
+#[test]
+fn closed_form_matches_the_per_scale_search_on_every_bgq_geometry() {
+    let mut dim_sets: Vec<Vec<usize>> = all_machines()
+        .iter()
+        .flat_map(|machine| {
+            machine
+                .feasible_sizes()
+                .into_iter()
+                .flat_map(|size| machine.geometries(size))
+                .map(|g| g.node_dims().to_vec())
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    dim_sets.sort();
+    dim_sets.dedup();
+    assert_eq!(
+        dim_sets.len(),
+        46,
+        "the paper's machines admit 46 geometries"
+    );
+    let models = [
+        ContentionModel::bgq(Kernel::ClassicalMatmul { n: 8192 }),
+        ContentionModel::bgq(Kernel::Fft { n: 1 << 26 }),
+        ContentionModel::bgq(Kernel::Custom {
+            words_per_proc: 2e9 / 8.0,
+            flops_per_proc: 1.0,
+        }),
+    ];
+    for dims in &dim_sets {
+        let cuts = per_scale_cuts(dims);
+        for model in &models {
+            let got = model.contention_bound(dims);
+            assert_same_bound(dims, &got, &reference_bound(model, dims, &cuts));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_env(64))]
+
+    #[test]
+    fn closed_form_matches_the_per_scale_search(
+        dims in dims_strategy(),
+        kernel in kernel_strategy(),
+    ) {
+        let model = ContentionModel::bgq(kernel);
+        let want = reference_bound(&model, &dims, &per_scale_cuts(&dims));
+        assert_same_bound(&dims, &model.contention_bound(&dims), &want);
+    }
 }
 
 proptest! {
