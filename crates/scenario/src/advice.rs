@@ -26,8 +26,8 @@
 //! per candidate, as one flow list, so minimal routers search each
 //! destination once. A candidate's score depends only on its own flows, so the
 //! result is bit-identical to re-routing and re-arming a simulation per
-//! candidate ([`score_candidates_reset`], kept as the benchmark baseline and
-//! the debug-build shadow reference) at any rayon thread cap.
+//! candidate ([`score_candidates_reset`], kept as the debug-build shadow
+//! reference and the parity suite's) at any rayon thread cap.
 //!
 //! A scored sweep can also be *patched*: [`run_readvise`] takes a
 //! [`FabricPatch`] (failed links, drained nodes — capacity deltas) plus the
@@ -605,9 +605,9 @@ pub fn score_candidates(
 
 /// The reset-per-candidate scoring path: re-route and re-arm a [`FluidSim`]
 /// for every candidate, running `exec.solver` and reporting through
-/// `exec.telemetry`. Kept as the benchmark baseline (`bench_advise`) and as
-/// the debug-build shadow reference the production path is asserted
-/// against. It routes pair by pair with [`Router::route_into`], not through
+/// `exec.telemetry`. Kept as the reference the production path is asserted
+/// against, by the debug-build shadow and by `tests/advice_delta_parity.rs`.
+/// It routes pair by pair with [`Router::route_into`], not through
 /// the flow-list routing the route cache uses, so the shadow also checks
 /// that routing.
 pub fn score_candidates_reset(

@@ -4,11 +4,12 @@
 //! The ring's whole design brief is "cheap enough to leave on": a disabled
 //! handle is one branch, an enabled one is a few relaxed atomic stores into
 //! a shared mapping. This binary measures that claim on the same >= 24-combo
-//! sweep the CI smoke runs, and writes `results/bench_telemetry.json` so the
-//! committed baseline and the measurement can never drift apart.
+//! sweep the CI smoke runs and prints the result as one JSON line (the
+//! socket benchmark `perfbench` reports the same figure as
+//! `telemetry.overhead_pct`).
 //!
 //! ```text
-//! bench_telemetry [--iterations N] [--check-overhead [PCT]] [--no-emit] [--force]
+//! bench_telemetry [--iterations N] [--check-overhead [PCT]]
 //! ```
 //!
 //! `--check-overhead` exits non-zero when the best-of-N observed sweep is
@@ -22,14 +23,10 @@ use std::time::Instant;
 struct Args {
     iterations: usize,
     check_overhead: Option<f64>,
-    emit: bool,
-    force: bool,
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: bench_telemetry [--iterations N] [--check-overhead [PCT]] [--no-emit] [--force]"
-    );
+    eprintln!("usage: bench_telemetry [--iterations N] [--check-overhead [PCT]]");
     std::process::exit(2);
 }
 
@@ -37,8 +34,6 @@ fn parse_args() -> Args {
     let mut parsed = Args {
         iterations: 5,
         check_overhead: None,
-        emit: true,
-        force: false,
     };
     let mut args = std::env::args().skip(1).peekable();
     while let Some(flag) = args.next() {
@@ -60,8 +55,6 @@ fn parse_args() -> Args {
                 };
                 parsed.check_overhead = Some(pct);
             }
-            "--no-emit" => parsed.emit = false,
-            "--force" => parsed.force = true,
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -123,11 +116,7 @@ fn main() {
         ("overhead_pct", Value::from(overhead_pct)),
         ("events_recorded", Value::from(events)),
     ]);
-    if args.emit {
-        netpart_bench::emit_json_baseline("bench_telemetry", &report.to_string(), args.force);
-    } else {
-        println!("{report}");
-    }
+    println!("{report}");
     eprintln!(
         "{} specs, best of {}: off {best_off:.3}s, on {best_on:.3}s ({overhead_pct:+.2}%), \
          {events} events",

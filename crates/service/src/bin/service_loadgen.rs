@@ -2,13 +2,14 @@
 //!
 //! Drives N client threads against a server (an external `--addr`, or an
 //! in-process one on an ephemeral port when omitted), each sending requests
-//! back-to-back, and reports throughput and latency percentiles. The
-//! machine-readable summary is written to `results/bench_service.json` so
-//! the committed baseline and this binary can never drift apart.
+//! back-to-back, and reports throughput and latency percentiles: a summary
+//! line on stderr and the machine-readable report as one JSON line on
+//! stdout. The benchmark of record is `perfbench`, whose `cached_mix`
+//! workload measures the same cache-hit path.
 //!
 //! ```text
 //! service_loadgen [--addr HOST:PORT] [--requests N] [--threads N]
-//!                 [--mix cached|mixed] [--no-emit] [--force]
+//!                 [--mix cached|mixed]
 //! ```
 //!
 //! The default `cached` mix repeats one advice query, measuring the
@@ -27,8 +28,6 @@ struct Args {
     requests: usize,
     threads: usize,
     mix: Mix,
-    emit: bool,
-    force: bool,
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -40,7 +39,7 @@ enum Mix {
 fn usage() -> ! {
     eprintln!(
         "usage: service_loadgen [--addr HOST:PORT] [--requests N] [--threads N] \
-         [--mix cached|mixed] [--no-emit] [--force]"
+         [--mix cached|mixed]"
     );
     std::process::exit(2);
 }
@@ -51,8 +50,6 @@ fn parse_args() -> Args {
         requests: 50_000,
         threads: 8,
         mix: Mix::Cached,
-        emit: true,
-        force: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -68,8 +65,6 @@ fn parse_args() -> Args {
                     _ => usage(),
                 }
             }
-            "--no-emit" => parsed.emit = false,
-            "--force" => parsed.force = true,
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -259,11 +254,7 @@ fn main() {
             ]),
         ),
     ]);
-    if args.emit {
-        netpart_bench::emit_json_baseline("bench_service", &report.to_string(), args.force);
-    } else {
-        println!("{report}");
-    }
+    println!("{report}");
     eprintln!(
         "{total} requests over {} threads in {wall:.3}s: {throughput:.0} req/s, \
          p50 {p50:.1}us, p99 {p99:.1}us (server-side p50 {server_p50:.1}us, \

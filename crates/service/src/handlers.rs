@@ -1,6 +1,6 @@
 //! Request handlers: the bridge from the wire protocol into the analysis
-//! crates (`netpart-contention`, `netpart-machines`, `netpart-core`,
-//! `netpart-iso`, `netpart-alloc`, `netpart-engine`, `netpart-sched`).
+//! and simulation crates (`netpart-contention`, `netpart-iso`,
+//! `netpart-engine`, `netpart-scenario`, `netpart-sched`).
 //!
 //! Every handler is a total function from request to [`Response`] — domain
 //! errors (unknown machine, unsupported shape, simulation failure) come
@@ -15,12 +15,13 @@ use netpart_engine::{
     simulate_cluster_with, simulate_flows_with, DimensionOrdered, EngineError, Exec, Fabric,
     Router, ShortestPath,
 };
+use netpart_iso::{harper, lindsey, weighted};
 use netpart_scenario::{
-    check_max_nodes, machine_by_name, run_allocation_sweep_with, run_sweep_with, MAX_FLOWS,
-    MAX_JOBS,
+    check_max_nodes, machine_by_name, run_allocation_sweep_with, run_sweep_with,
+    MAX_FABRIC_CHANNELS, MAX_FABRIC_NODES, MAX_FLOWS, MAX_JOBS,
 };
 use netpart_sched::{generate_trace, simulate_events_with, TraceConfig};
-use netpart_topology::GlobalArrangement;
+use netpart_topology::{Dragonfly, GlobalArrangement};
 
 /// Upper bound on scenarios per `sweep` request (each scenario already has
 /// its own fabric/flow/job budgets from `netpart-scenario`).
@@ -100,7 +101,14 @@ fn handle_advise(machine: &str, size: usize, kernel: &Option<KernelSpec>) -> Res
     }
 }
 
+/// Node count of a `dims` allocation, or `None` when it overflows the `u64`
+/// the closed forms compute in.
+fn node_count(dims: &[usize]) -> Option<u64> {
+    dims.iter().try_fold(1u64, |n, &a| n.checked_mul(a as u64))
+}
+
 fn handle_bisection(topology: &str, dims: &[usize]) -> Response {
+    let overflow = || unsupported(format!("{topology} dims {dims:?} overflow the link count"));
     let links = match topology {
         "torus" => {
             if dims.is_empty() || dims.contains(&0) {
@@ -111,21 +119,34 @@ fn handle_bisection(topology: &str, dims: &[usize]) -> Response {
                     "torus has no even dimension; no axis-aligned bisection exists",
                 );
             }
+            // The cut `2·N/a` over an even `a` is at most `N`.
+            if node_count(dims).is_none() {
+                return overflow();
+            }
             netpart_iso::torus_bisection_links(dims) as f64
         }
         "hypercube" => match dims {
-            [d] if *d <= 62 => {
-                netpart_core::topologies::hypercube_partition_bisection(*d as u32) as f64
-            }
+            [d] if *d <= 62 => harper::hypercube_bisection(*d as u32) as f64,
             _ => return unsupported("hypercube expects dims = [subcube_dimension <= 62]"),
         },
         "dragonfly" => match dims {
             [groups, ports] if *groups >= 2 && *ports >= 1 => {
-                netpart_core::topologies::dragonfly_partition_bisection(
-                    *groups,
-                    *ports,
-                    GlobalArrangement::Relative,
-                )
+                // Cray XC groups hold 16 × 6 routers, and the cut walks every
+                // router's links, which grow with its global ports: bound both
+                // by the budgets a fabric built from a spec gets.
+                let routers = groups.checked_mul(16 * 6);
+                let within_budget = routers.is_some_and(|r| {
+                    r <= MAX_FABRIC_NODES
+                        && r.checked_mul(*ports).is_some_and(|p| p <= MAX_FABRIC_CHANNELS)
+                });
+                if !within_budget {
+                    return unsupported(format!(
+                        "dragonfly outside the budget (groups x 96 routers <= {MAX_FABRIC_NODES}, \
+                         routers x global ports <= {MAX_FABRIC_CHANNELS})"
+                    ));
+                }
+                let df = Dragonfly::cray_xc(*groups, *ports, GlobalArrangement::Relative);
+                weighted::dragonfly_group_bisection(&df)
             }
             _ => {
                 return unsupported(
@@ -137,8 +158,20 @@ fn handle_bisection(topology: &str, dims: &[usize]) -> Response {
             if dims.is_empty() || dims.contains(&0) {
                 return unsupported("hyperx dims must be non-empty and positive");
             }
-            let capacities = vec![1.0; dims.len()];
-            netpart_core::topologies::hyperx_partition_bisection(dims, &capacities)
+            // Each dimension's cut `⌊a/2⌋·⌈a/2⌉·(N/a)` must fit as well.
+            let fits = node_count(dims).is_some_and(|n| {
+                dims.iter().all(|&a| {
+                    let a = a as u64;
+                    (a / 2)
+                        .checked_mul(a - a / 2)
+                        .and_then(|c| c.checked_mul(n / a))
+                        .is_some()
+                })
+            });
+            if !fits {
+                return overflow();
+            }
+            lindsey::hyperx_bisection(dims, &vec![1.0; dims.len()])
         }
         "bgq" => {
             let longest = dims.iter().copied().max().unwrap_or(0);
@@ -146,6 +179,10 @@ fn handle_bisection(topology: &str, dims: &[usize]) -> Response {
                 return unsupported(
                     "bgq formula requires node dims with an even longest dimension >= 4",
                 );
+            }
+            // The formula computes `2·N` before dividing by the longest dim.
+            if node_count(dims).and_then(|n| n.checked_mul(2)).is_none() {
+                return overflow();
             }
             netpart_iso::bgq_bisection_links(dims) as f64
         }
@@ -487,6 +524,72 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    fn bisection(topology: &str, dims: Vec<usize>) -> Response {
+        handle(&Request::Bisection {
+            topology: topology.into(),
+            dims,
+        })
+    }
+
+    fn is_unsupported(resp: &Response) -> bool {
+        matches!(
+            resp,
+            Response::Error {
+                code: ErrorCode::Unsupported,
+                ..
+            }
+        )
+    }
+
+    #[test]
+    fn bisection_link_counts_that_overflow_are_refused() {
+        // 2^65 nodes wrap the node count and 2^63 BG/Q nodes wrap its `2·N`.
+        // The hyperx `[2^31, 2^31]` has 2^62 nodes, but its cut
+        // `⌊a/2⌋·⌈a/2⌉·(N/a)` is 2^91.
+        for (topology, dims) in [
+            ("torus", vec![1 << 32, 1 << 32, 2]),
+            ("bgq", vec![1 << 32, 1 << 32, 2]),
+            ("bgq", vec![1 << 31, 1 << 31, 2]),
+            ("hyperx", vec![1 << 32, 1 << 32, 3]),
+            ("hyperx", vec![1 << 31, 1 << 31]),
+        ] {
+            let resp = bisection(topology, dims.clone());
+            assert!(is_unsupported(&resp), "{topology} {dims:?}: {resp:?}");
+        }
+        // Just inside: 2^63 torus nodes, and 2^62 BG/Q nodes whose `2·N` fits.
+        assert_eq!(
+            bisection("torus", vec![1 << 31, 1 << 31, 2]),
+            Response::Bisection {
+                links: (1u64 << 33) as f64
+            }
+        );
+        assert_eq!(
+            bisection("bgq", vec![1 << 30, 1 << 31, 2]),
+            Response::Bisection {
+                links: (1u64 << 32) as f64
+            }
+        );
+    }
+
+    #[test]
+    fn dragonfly_bisection_stays_within_the_fabric_budgets() {
+        assert_eq!(
+            bisection("dragonfly", vec![170, 4]),
+            Response::Bisection { links: 124_248.0 }
+        );
+        // 171 groups hold 16,416 routers (> 2^14); 170 groups' 16,320
+        // routers with 65 global ports each make 1,060,800 ports (> 2^20).
+        for dims in [
+            vec![171, 4],
+            vec![170, 65],
+            vec![usize::MAX, 1],
+            vec![2, usize::MAX],
+        ] {
+            let resp = bisection("dragonfly", dims.clone());
+            assert!(is_unsupported(&resp), "{dims:?}: {resp:?}");
+        }
     }
 
     #[test]

@@ -19,14 +19,18 @@
 //! * **Metrics** ([`metrics`]): request counters and log₂ latency
 //!   histograms, served by the `stats` endpoint.
 //! * **Client** ([`client`]): a small blocking client used by the tests,
-//!   the example session and the `service_loadgen` benchmark binary.
+//!   the example session, the `service_loadgen` load generator and
+//!   perfbench.
 //!
 //! ## Binaries
 //!
 //! * `netpart_serve` — run the daemon: `cargo run --release --bin
 //!   netpart_serve -- --addr 127.0.0.1:7878`
 //! * `service_loadgen` — closed-loop load generator reporting throughput
-//!   and p50/p99 latency, and writing `results/bench_service.json`.
+//!   and p50/p99 latency (the CI load smoke; the benchmark of record is
+//!   `perfbench/` at the repository root).
+//! * `bench_telemetry` — the standard sweep with the telemetry ring off
+//!   and on; `--check-overhead 5` is the CI gate on recording cost.
 //!
 //! ## A one-minute session
 //!

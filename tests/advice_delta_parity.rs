@@ -12,7 +12,8 @@
 //!   fat-tree / expander), random candidate sets in either order, and
 //!   worker thread caps 1 / 2 / 8 (via the vendored
 //!   `rayon::with_max_threads`, scoped to the calling test) — and to the
-//!   reset path under the incremental solver mode.
+//!   reset path under the incremental solver mode. One fixed sweep at the
+//!   service's cap of 64 candidates fills all eight shards.
 //! * Fabric-delta re-advice (`run_readvise`) patching a cached base sweep
 //!   must be bit-identical to a full recompute on the patched fabric, for
 //!   random link/node capacity patches, again at any thread cap.
@@ -22,15 +23,17 @@
 //! inline.
 
 use netpart::engine::{
-    DimensionOrdered, Exec, Fabric, FabricPatch, LinkPatch, NodePatch, Router, ShortestPath,
-    SolverMode, Telemetry,
+    Allocator, DimensionOrdered, Exec, Fabric, FabricPatch, LinkPatch, NodePatch, RandomAllocator,
+    Router, ScatterAllocator, ShortestPath, SolverMode, Telemetry,
 };
 use netpart::scenario::{
     build_fabric, run_advice, run_readvise, score_candidates, score_candidates_reset, AdviceResult,
-    AdviceSpec, AllocationSpec, RoutingSpec, TopologySpec,
+    AdviceSpec, AllocationSpec, RoutingSpec, TopologySpec, MAX_ADVICE_CANDIDATES,
 };
+use netpart::topology::Torus;
 use netpart_bench::strategies::small_fabric;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// The fabric's natural router: dimension-ordered on tori, shortest-path
 /// elsewhere (the same choice the service makes).
@@ -172,6 +175,63 @@ fn assert_results_bit_identical(a: &AdviceResult, b: &AdviceResult, context: &st
                 xf,
                 yf,
                 context
+            );
+        }
+    }
+}
+
+#[test]
+fn a_sweep_at_the_candidate_cap_fills_every_shard_and_matches_reset_scoring() {
+    let fabric = Fabric::from_torus(Torus::new(vec![8, 8, 4]), 2.0);
+    let router = DimensionOrdered::default();
+    let free = vec![true; fabric.num_nodes()];
+    let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(MAX_ADVICE_CANDIDATES);
+    for i in 0..MAX_ADVICE_CANDIDATES {
+        // Every sixteenth candidate repeats an earlier one, so duplicates
+        // collapse across shards too.
+        let set = if i % 16 == 15 {
+            candidates[i - 8].clone()
+        } else {
+            let nodes = 4 + i % 3;
+            let set = if i % 4 == 0 {
+                ScatterAllocator { stride: 3 + i }.allocate(&fabric, &free, nodes)
+            } else {
+                RandomAllocator { seed: i as u64 }.allocate(&fabric, &free, nodes)
+            };
+            set.expect("the candidate fits the fabric")
+        };
+        candidates.push(set);
+    }
+    // Eight shards of eight hold 57 to 64 distinct sets.
+    let distinct: HashSet<&Vec<usize>> = candidates.iter().collect();
+    assert!(distinct.len() >= 57, "{} distinct sets", distinct.len());
+    let gigabytes = 0.25;
+    let reference =
+        score_candidates_reset(&fabric, &router, &candidates, gigabytes, Exec::default())
+            .expect("candidates route");
+    for cap in [1usize, 2, 8] {
+        let scores = rayon::with_max_threads(cap, || {
+            score_candidates(
+                &fabric,
+                &router,
+                &candidates,
+                gigabytes,
+                &Telemetry::disabled(),
+            )
+        })
+        .expect("candidates route");
+        assert_eq!(scores.len(), reference.len());
+        for (i, (score, r)) in scores.iter().zip(&reference).enumerate() {
+            assert_eq!(
+                score.simulated_seconds.to_bits(),
+                r.simulated_seconds.to_bits(),
+                "candidate {i} diverged at thread cap {cap}: {} vs {}",
+                score.simulated_seconds,
+                r.simulated_seconds
+            );
+            assert_eq!(
+                score.solves, r.solves,
+                "solves of candidate {i} at cap {cap}"
             );
         }
     }

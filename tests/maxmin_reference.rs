@@ -32,7 +32,7 @@ use netpart::engine::{
 };
 use netpart::scenario::{build_fabric, TopologySpec};
 use netpart::topology::Torus;
-use netpart_bench::engine_workloads::shuffle_flows;
+use netpart_bench::shuffle_flows;
 use netpart_bench::strategies::small_fabric;
 use proptest::prelude::*;
 
@@ -298,9 +298,8 @@ fn route(fabric: &Fabric, router: &dyn Router, flows: &[Flow]) -> (Vec<usize>, V
 
 #[test]
 fn shuffle_on_32x32x4_matches_the_reference_bitwise() {
-    // 4,096 nodes and 24,576 directed channels, one shuffle flow per node
-    // (the shared bench workload): the first rounds see tens of thousands
-    // of live channels.
+    // 4,096 nodes and 24,576 directed channels, one shuffle flow per node:
+    // the first rounds see tens of thousands of live channels.
     let fabric = Fabric::from_torus(Torus::new(vec![32, 32, 4]), 2.0);
     let flows = shuffle_flows(&fabric);
     let (offsets, data) = route(&fabric, &DimensionOrdered::default(), &flows);
